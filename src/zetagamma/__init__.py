@@ -5,7 +5,7 @@ single non-trivial zeros of the Riemann zeta function, yielding gamma
 estimates from one zero ordinate each; the inverse direction recovers
 zero ordinates by fixed-point iteration.  An O(k^2) brute-force double
 sum and an O(k) factorized path cross-check each other, and every long
-sum runs through a deterministic compensated summation engine.
+sum runs through ``math.fsum`` over a fixed chunking.
 """
 
 from .bench import BenchReport, bench_offdiag
@@ -53,7 +53,6 @@ from .series import (
 )
 from .summation import (
     DEFAULT_CHUNK,
-    SumAccumulator,
     chunked_parallel_pair_sum,
     chunked_parallel_sum,
     compensated_sum,

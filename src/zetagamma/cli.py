@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: gamma, zero-iterate, tables, bench.  Every command is
-deterministic given its flags and input files; --threads only changes
-wall time, never results.  Exit codes: 0 ok, 2 catalog miss, 3 domain or
-cap error, 4 diverged iteration, 5 singular guard.
+deterministic given its flags and input files; --threads N is accepted,
+sums run on one thread, and results never depend on N.  Exit codes:
+0 ok, 2 catalog miss, 3 domain or cap error, 4 diverged iteration,
+5 singular guard.
 """
 
 from __future__ import annotations
@@ -150,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true",
                         help="emit a single JSON object instead of text/CSV")
     common.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker threads for long sums (speed only; "
-                             "results are bit-identical)")
+                        help="accepted; sums run on one thread; "
+                             "results never depend on N")
 
     parser = argparse.ArgumentParser(
         prog="zetagamma",
@@ -197,9 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads != 1:
-        summation.set_num_workers(args.threads)
     try:
+        summation.set_num_workers(args.threads)
         return args.func(args)
     except CatalogError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, SingularGuardError
-from .series import EULER_GAMMA, SeriesParams, offdiag_factorized
+from .series import (
+    EULER_GAMMA,
+    SeriesParams,
+    _check_positive_int,
+    offdiag_factorized,
+)
 from .summation import chunked_parallel_sum
 
 #: Guard on |sin(t log k)| and |cos(t log k)| in the g map; the cot and
@@ -81,11 +86,9 @@ def f_of_t(t: float, k: int, gamma_ref: float = EULER_GAMMA) -> float:
     positive or the square-root argument is negative - the formula left
     its real domain at this (t, k).
     """
-    if not (t > 0.0):
-        raise DomainError("t must be positive")
-    if not isinstance(k, (int, np.integer)) or k < 2:
-        raise DomainError("k must be an integer >= 2")
-    k = int(k)
+    if not (0.0 < t < math.inf):
+        raise DomainError("t must be finite and positive")
+    k = _check_positive_int(k, "k", minimum=2)
     off = offdiag_factorized(SeriesParams(0.5, t, k), alternating=False)
     denom = gamma_ref + math.log(k) + off
     if denom <= 0.0:
@@ -112,11 +115,9 @@ def g_of_t(t: float, k: int, guard_eps: float = SINGULARITY_EPS) -> float:
     Raises ``SingularGuardError`` when |sin(t log k)| or |cos(t log k)|
     falls below ``guard_eps``; retry with a different k in that case.
     """
-    if not (t > 0.0):
-        raise DomainError("t must be positive")
-    if not isinstance(k, (int, np.integer)) or k < 2:
-        raise DomainError("k must be an integer >= 2")
-    k = int(k)
+    if not (0.0 < t < math.inf):
+        raise DomainError("t must be finite and positive")
+    k = _check_positive_int(k, "k", minimum=2)
     x = t * math.log(k)
     s = math.sin(x)
     c = math.cos(x)
@@ -141,8 +142,8 @@ def iterate_fixed_point(map: FixedPointMap, y0: float, k: int,
     leaves (0, 10*y0), and SINGULAR_GUARD when a guard trips.  Failure
     modes are statuses, not exceptions: most start points do not converge.
     """
-    if not (y0 > 0.0):
-        raise DomainError("y0 must be positive")
+    if not (0.0 < y0 < math.inf):
+        raise DomainError("y0 must be finite and positive")
     if max_iters < 1:
         raise DomainError("max_iters must be >= 1")
     iterates = [float(y0)]

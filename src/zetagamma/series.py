@@ -1,7 +1,7 @@
 """Truncated series and closed forms tied to zeta zeros on the critical strip.
 
 All functions work in plain binary64 and accumulate through the
-compensated engine in :mod:`zetagamma.summation`.  The two headline
+correctly rounded sums in :mod:`zetagamma.summation`.  The two headline
 results are ``gamma_type1`` and ``gamma_type2``: estimates of the
 Euler-Mascheroni constant built from a single non-trivial zeta zero
 ordinate, one via the alternating (eta-form) series, one via the
@@ -21,10 +21,9 @@ import numpy as np
 
 from .errors import DomainError, OracleCapError
 from .summation import (
-    SumAccumulator,
-    _neumaier_array,
     chunked_parallel_pair_sum,
     chunked_parallel_sum,
+    compensated_sum,
 )
 
 #: Reference value of the Euler-Mascheroni constant used throughout.
@@ -37,7 +36,7 @@ ORACLE_CAP = 50_000
 
 
 def _check_positive_int(value: int, name: str, minimum: int = 1) -> int:
-    if not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise DomainError(f"{name} must be an integer")
     value = int(value)
     if value < minimum:
@@ -175,10 +174,8 @@ def stieltjes_estimate(n: int, m: int) -> float:
     Returns ``sum_{j=1..m} (log j)^n / j - (log m)^(n+1)/(n+1)``.  For
     n = 0 this tends to the Euler-Mascheroni constant as m grows.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise DomainError("n must be a nonnegative integer")
+    n = _check_positive_int(n, "n", minimum=0)
     m = _check_positive_int(m, "m", minimum=2)
-    n = int(n)
     if n == 0:
         series = chunked_parallel_sum(lambda j: 1.0 / j, m)
     else:
@@ -274,14 +271,14 @@ def offdiag_naive(params: SeriesParams, alternating: bool,
         w_all = m_all ** (-sigma)
     if alternating:
         sign_all = np.where((np.arange(1, k + 1) & 1) == 1, -1.0, 1.0)
-    acc = SumAccumulator()
+    rows = []
     for n in range(1, k):
         terms = np.cos(t * np.log(m_all[n:] / float(n))) * w_all[n:]
         terms *= w_all[n - 1]
         if alternating:
             terms *= sign_all[n:] * sign_all[n - 1]
-        acc.add(_neumaier_array(np.ascontiguousarray(terms)))
-    return 2.0 * acc.total
+        rows.append(compensated_sum(terms))
+    return 2.0 * math.fsum(rows)
 
 
 def offdiag_factorized(params: SeriesParams, alternating: bool) -> float:

@@ -1,194 +1,116 @@
-"""Deterministic compensated summation primitives.
+"""Deterministic, correctly rounded summation.
 
-Every long sum in this package funnels through the Kahan-Babuska (Neumaier)
-scheme implemented here.  The library prints results to 15 significant
-digits, and several of its quantities (squared trig sums evaluated near a
+Several quantities in this package (squared trig sums evaluated near a
 zeta zero) cancel to within a few ulp of zero, so naive left-to-right
-accumulation is not good enough.
+accumulation is not good enough.  Every long sum therefore goes through
+``math.fsum`` (Shewchuk's adaptive-precision algorithm), which returns the
+exactly rounded total of its binary64 inputs.
 
-Two accumulation strategies are provided:
-
-* ``compensated_sum`` - strictly sequential Neumaier summation of an
-  explicit term sequence.  Error is bounded by ``2*ulp(sum(|terms|))``.
+* ``compensated_sum`` - correctly rounded total of an explicit term
+  sequence; rejects non-finite terms.
 * ``chunked_parallel_sum`` / ``chunked_parallel_pair_sum`` - the index
-  range ``1..k`` is cut into fixed chunks, each chunk is compensated
-  independently, and the chunk totals are combined in ascending chunk
-  order with a second compensated accumulation.  Because the chunk
-  boundaries and the combine order never depend on the worker count, the
-  result is bit-identical whether chunks are evaluated by one thread or
-  many.
+  range ``1..k`` is cut into fixed chunks, each chunk's terms are computed
+  in one vectorized call and summed, and the chunk totals are summed in
+  ascending chunk order.  Sums run on one thread; the ``workers`` count is
+  validated and accepted, but results never depend on it.
 
-Reordering terms is *not* error-free and no permutation invariance is
-claimed; determinism for a fixed chunking is the contract.
+A chunked total is the correctly rounded sum of correctly rounded chunk
+totals, so it can differ from a flat ``compensated_sum`` of the same terms
+in the last place; determinism for a fixed chunking is the contract.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import DomainError
 
-#: Default chunk length for the chunked accumulators.  Large enough to
-#: amortize dispatch overhead, small enough to stay cache-resident.
+#: Default chunk length for the chunked sums.  Large enough to amortize
+#: per-call overhead, small enough to stay cache-resident.
 DEFAULT_CHUNK = 4096
 
 _num_workers = 1
 
 
-def set_num_workers(n: int) -> None:
-    """Set the default worker count for chunked sums (speed only).
-
-    Results are bit-identical for any worker count; this knob exists so a
-    CLI flag can trade threads for wall time without touching call sites.
-    """
-    global _num_workers
+def _check_workers(n: int) -> int:
     if n < 1:
         raise DomainError("worker count must be >= 1")
-    _num_workers = int(n)
+    return int(n)
+
+
+def set_num_workers(n: int) -> None:
+    """Set the default worker count for chunked sums.
+
+    The count is validated and stored, but sums run on one thread and
+    results never depend on it.
+    """
+    global _num_workers
+    _num_workers = _check_workers(n)
 
 
 def get_num_workers() -> int:
     return _num_workers
 
 
-@dataclass
-class SumAccumulator:
-    """Running Kahan-Babuska (Neumaier) accumulator.
-
-    ``running`` carries the naive total, ``compensation`` the accumulated
-    rounding error.  After adding any finite sequence, ``total`` is within
-    ``2*ulp(sum(|terms|))`` of the exact sum.
-    """
-
-    running: float = 0.0
-    compensation: float = 0.0
-
-    def add(self, value: float) -> None:
-        t = self.running + value
-        if abs(self.running) >= abs(value):
-            self.compensation += (self.running - t) + value
-        else:
-            self.compensation += (value - t) + self.running
-        self.running = t
-
-    @property
-    def total(self) -> float:
-        return self.running + self.compensation
-
-
-def _neumaier_python(arr: Sequence[float]) -> float:
-    s = 0.0
-    c = 0.0
-    for v in arr:
-        t = s + v
-        if abs(s) >= abs(v):
-            c += (s - t) + v
-        else:
-            c += (v - t) + s
-        s = t
-    return s + c
-
-
-def _neumaier_jit_body(arr):
-    s = 0.0
-    c = 0.0
-    for i in range(arr.shape[0]):
-        v = arr[i]
-        t = s + v
-        if abs(s) >= abs(v):
-            c += (s - t) + v
-        else:
-            c += (v - t) + s
-        s = t
-    return s + c
-
-
-try:  # pragma: no cover - exercised implicitly by the whole suite
-    from numba import njit
-
-    # Same operation sequence as the Python loop, hence bit-identical;
-    # nogil lets chunk workers overlap.
-    _neumaier_numba = njit("float64(float64[::1])", cache=True, nogil=True)(
-        _neumaier_jit_body
-    )
-except Exception:  # pragma: no cover
-    _neumaier_numba = None
-
-
-def _neumaier_array(arr: np.ndarray) -> float:
-    if _neumaier_numba is not None:
-        return float(_neumaier_numba(arr))
-    return _neumaier_python(arr.tolist())
+def _fsum(values: list[float]) -> float:
+    # fsum raises OverflowError when the exact total exceeds binary64 and
+    # ValueError on inf + -inf; both are domain errors of the sum.
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        raise DomainError("sum is not finite in binary64") from None
 
 
 def compensated_sum(terms: Iterable[float] | np.ndarray) -> float:
-    """Kahan-Babuska compensated total of ``terms`` in the given order.
+    """Correctly rounded total of ``terms``.
 
-    Deterministic for a fixed input order.  Raises ``DomainError`` on any
-    non-finite term.
+    Raises ``DomainError`` on any non-finite term or a total that
+    overflows binary64.
     """
     if isinstance(terms, np.ndarray):
-        arr = np.ascontiguousarray(terms, dtype=np.float64)
-        if arr.size and not np.isfinite(arr).all():
+        arr = np.asarray(terms, dtype=np.float64)
+        if not np.isfinite(arr).all():
             raise DomainError("non-finite term in summation input")
-        return _neumaier_array(arr)
-    acc = SumAccumulator()
-    for x in terms:
-        v = float(x)
-        if not math.isfinite(v):
-            raise DomainError("non-finite term in summation input")
-        acc.add(v)
-    return acc.total
+        return _fsum(arr.ravel().tolist())
+    values = [float(x) for x in terms]
+    if not all(map(math.isfinite, values)):
+        raise DomainError("non-finite term in summation input")
+    return _fsum(values)
 
 
-def _chunk_bounds(k: int, chunk: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + chunk - 1, k)) for lo in range(1, k + 1, chunk)]
-
-
-def _term_array(term_fn: Callable[[np.ndarray], np.ndarray],
-                lo: int, hi: int) -> np.ndarray:
-    idx = np.arange(lo, hi + 1, dtype=np.int64)
-    return np.ascontiguousarray(np.asarray(term_fn(idx), dtype=np.float64))
+def _chunked_fsum(block_fn: Callable[[np.ndarray], tuple[np.ndarray, ...]],
+                  width: int, k: int, chunk: int,
+                  workers: int | None) -> tuple[float, ...]:
+    # ``block_fn`` maps one chunk's indices to ``width`` term arrays.
+    if chunk < 1:
+        raise DomainError("chunk size must be >= 1")
+    if workers is not None:
+        _check_workers(workers)
+    k = int(k)
+    totals: list[list[float]] = [[] for _ in range(width)]
+    for lo in range(1, k + 1, chunk):
+        idx = np.arange(lo, min(lo + chunk, k + 1), dtype=np.int64)
+        for column, terms in zip(totals, block_fn(idx)):
+            column.append(_fsum(np.asarray(terms, dtype=np.float64).tolist()))
+    return tuple(_fsum(column) for column in totals)
 
 
 def chunked_parallel_sum(term_fn: Callable[[np.ndarray], np.ndarray],
                          k: int,
                          chunk: int = DEFAULT_CHUNK,
                          workers: int | None = None) -> float:
-    """Compensated sum of ``term_fn`` over indices ``1..k`` in fixed chunks.
+    """Sum of ``term_fn`` over indices ``1..k`` in fixed chunks.
 
     ``term_fn`` receives an int64 index array and must return the matching
-    float64 term array (vectorized).  Chunks are compensated independently
-    and the chunk totals are combined in ascending order, so the output is
-    bit-identical for any ``workers`` value.
+    float64 term array (vectorized).  Each chunk is summed exactly rounded
+    and the chunk totals are combined in ascending order.  ``workers`` is
+    validated but does not change the result or the thread count.
     """
-    if chunk < 1:
-        raise DomainError("chunk size must be >= 1")
-    k = int(k)
-    if k <= 0:
-        return 0.0
-    if workers is None:
-        workers = _num_workers
-    bounds = _chunk_bounds(k, chunk)
-
-    def chunk_total(b: tuple[int, int]) -> float:
-        return _neumaier_array(_term_array(term_fn, *b))
-
-    if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            totals = list(pool.map(chunk_total, bounds))
-    else:
-        totals = [chunk_total(b) for b in bounds]
-
-    acc = SumAccumulator()
-    for tot in totals:
-        acc.add(tot)
-    return acc.total
+    (total,) = _chunked_fsum(lambda idx: (term_fn(idx),), 1, k, chunk, workers)
+    return total
 
 
 def chunked_parallel_pair_sum(pair_fn: Callable[[np.ndarray],
@@ -196,38 +118,11 @@ def chunked_parallel_pair_sum(pair_fn: Callable[[np.ndarray],
                               k: int,
                               chunk: int = DEFAULT_CHUNK,
                               workers: int | None = None) -> tuple[float, float]:
-    """Two compensated sums sharing one traversal of ``1..k``.
+    """Two sums sharing one traversal of ``1..k``.
 
     ``pair_fn`` maps an int64 index array to two term arrays that reuse
     common work (one log per index, typically).  Chunking and combine
     order follow ``chunked_parallel_sum`` exactly, component-wise.
     """
-    if chunk < 1:
-        raise DomainError("chunk size must be >= 1")
-    k = int(k)
-    if k <= 0:
-        return 0.0, 0.0
-    if workers is None:
-        workers = _num_workers
-    bounds = _chunk_bounds(k, chunk)
-
-    def chunk_totals(b: tuple[int, int]) -> tuple[float, float]:
-        lo, hi = b
-        idx = np.arange(lo, hi + 1, dtype=np.int64)
-        a, bb = pair_fn(idx)
-        a = np.ascontiguousarray(np.asarray(a, dtype=np.float64))
-        bb = np.ascontiguousarray(np.asarray(bb, dtype=np.float64))
-        return _neumaier_array(a), _neumaier_array(bb)
-
-    if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            totals = list(pool.map(chunk_totals, bounds))
-    else:
-        totals = [chunk_totals(b) for b in bounds]
-
-    acc_a = SumAccumulator()
-    acc_b = SumAccumulator()
-    for ta, tb in totals:
-        acc_a.add(ta)
-        acc_b.add(tb)
-    return acc_a.total, acc_b.total
+    a, b = _chunked_fsum(pair_fn, 2, k, chunk, workers)
+    return a, b

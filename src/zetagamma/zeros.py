@@ -7,6 +7,7 @@ larger lists load from LMFDB-style plain-text files, one zero per line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -24,8 +25,8 @@ class ZetaZero:
     def __post_init__(self):
         if not isinstance(self.q, int) or self.q < 1:
             raise DomainError("zero index q must be a positive integer")
-        if not (self.t > 0.0):
-            raise DomainError("zero ordinate t must be positive")
+        if not (0.0 < self.t < math.inf):
+            raise DomainError("zero ordinate t must be finite and positive")
 
 
 class CatalogSource(Enum):

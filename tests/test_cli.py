@@ -93,6 +93,22 @@ def test_zero_iterate_singular_exits_5(capsys):
     assert code == 5
 
 
+def test_zero_iterate_non_finite_y0_exits_3(capsys):
+    code, _, err = run_cli(capsys, "zero-iterate", "--map", "g",
+                           "--y0", "inf", "--k", "1000", "--iters", "5")
+    assert code == 3
+    assert "y0" in err
+
+
+def test_zeros_file_non_finite_ordinate_exits_2(capsys, tmp_path):
+    path = tmp_path / "zeros.txt"
+    path.write_text("14.1\ninf\n")
+    code, _, err = run_cli(capsys, "gamma", "--zeros-file", str(path),
+                           "--method", "type1", "--q", "1", "--k", "50")
+    assert code == 2
+    assert "line 2" in err
+
+
 def test_zero_iterate_json(capsys):
     code, out, _ = run_cli(capsys, "zero-iterate", "--json", "--map", "f",
                            "--y0", "14.2", "--k", "1000", "--iters", "3")
@@ -173,3 +189,11 @@ def test_threads_flag_does_not_change_output(capsys):
     from zetagamma import set_num_workers
 
     set_num_workers(1)
+
+
+def test_threads_zero_exits_3(capsys):
+    code, out, err = run_cli(capsys, "gamma", "--threads", "0", "--method",
+                             "type1", "--q", "1", "--k", "100")
+    assert code == 3
+    assert out == ""
+    assert err == "error: worker count must be >= 1\n"

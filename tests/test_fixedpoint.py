@@ -120,6 +120,16 @@ def test_iterate_preconditions():
         iterate_fixed_point(FixedPointMap.G_MAP, 14.2, 100, 0, 1e-12)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: f_of_t(math.inf, 100),
+    lambda: g_of_t(math.inf, 100),
+    lambda: iterate_fixed_point(FixedPointMap.G_MAP, math.inf, 100, 5, 1e-12),
+], ids=["f_of_t", "g_of_t", "iterate_fixed_point"])
+def test_non_finite_ordinate_rejected(call):
+    with pytest.raises(DomainError, match="finite"):
+        call()
+
+
 def test_trace_serialization_shapes():
     trace = iterate_fixed_point(FixedPointMap.G_MAP, T1, 10**4, 2, 0.0)
     rows = trace.csv_rows()

@@ -52,6 +52,15 @@ def test_harmonic_rejects_zero():
         harmonic_partial_sum(0)
 
 
+def test_bool_rejected_where_integer_expected():
+    with pytest.raises(DomainError):
+        harmonic_partial_sum(True)
+    with pytest.raises(DomainError):
+        SeriesParams(0.5, T1, True)
+    with pytest.raises(DomainError):
+        stieltjes_estimate(True, 100)
+
+
 def test_harmonic_asymptotic_matches_partial_sum():
     gamma64 = 0.5772156649015329
     # remainder after the B_4 term is B_6/(6 k^6) ~ 3.97e-9 at k=10

@@ -2,6 +2,7 @@
 
 import math
 import random
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -9,12 +10,10 @@ import pytest
 
 from zetagamma import (
     DomainError,
-    SumAccumulator,
     chunked_parallel_pair_sum,
     chunked_parallel_sum,
     compensated_sum,
 )
-from zetagamma.summation import _neumaier_array, _neumaier_python
 
 EPS = 2.0 ** -52
 
@@ -40,6 +39,13 @@ def test_non_finite_rejected(bad):
         compensated_sum(np.array([1.0, bad]))
 
 
+def test_overflowing_total_rejected():
+    with pytest.raises(DomainError):
+        compensated_sum([1e308, 1e308])
+    with pytest.raises(DomainError):
+        chunked_parallel_sum(lambda n: np.full(n.shape, 1e308), 10)
+
+
 def test_harmonic_terms_match_exact_rational():
     # H_1e6 of the rounded 1/n terms; math.fsum is the exact oracle.
     terms = 1.0 / np.arange(1, 10**6 + 1, dtype=np.float64)
@@ -60,23 +66,7 @@ def test_error_bound_vs_exact_rational(length):
     abs_sum = float(sum(abs(Fraction(x)) for x in xs))
     result = compensated_sum(xs)
     assert float(abs(Fraction(result) - exact)) <= 2.0 * EPS * abs_sum
-
-
-def test_accumulator_matches_function():
-    rng = random.Random(7)
-    xs = [rng.uniform(-1e6, 1e6) for _ in range(500)]
-    acc = SumAccumulator()
-    for x in xs:
-        acc.add(x)
-    assert acc.total == compensated_sum(xs)
-
-
-def test_kernel_backends_bit_identical():
-    rng = np.random.default_rng(99)
-    for size in (0, 1, 17, 4096, 100_001):
-        arr = rng.uniform(-1.0, 1.0, size) * 10.0 ** rng.integers(-9, 9, size)
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
-        assert _neumaier_array(arr) == _neumaier_python(arr.tolist())
+    assert result == float(exact)  # math.fsum rounds correctly
 
 
 def test_chunked_matches_sequential():
@@ -102,6 +92,23 @@ def test_chunked_bit_identical_across_workers(workers):
     base = chunked_parallel_sum(lambda n: 1.0 / n, k, chunk=512, workers=1)
     multi = chunked_parallel_sum(lambda n: 1.0 / n, k, chunk=512, workers=workers)
     assert multi == base
+
+
+def test_workers_start_no_thread():
+    before = threading.active_count()
+    seen = []
+
+    def terms(n):
+        seen.append(threading.active_count())
+        return 1.0 / n
+
+    chunked_parallel_sum(terms, 100_000, workers=8)
+    assert seen and max(seen) == before
+
+
+def test_workers_validated():
+    with pytest.raises(DomainError):
+        chunked_parallel_sum(lambda n: 1.0 / n, 100, workers=0)
 
 
 def test_pair_sum_matches_two_singles():

@@ -7,6 +7,7 @@ from zetagamma import (
     CatalogLookupError,
     CatalogParseError,
     CatalogSource,
+    DomainError,
     EULER_GAMMA,
     builtin_catalog,
     g_of_t,
@@ -14,6 +15,7 @@ from zetagamma import (
     get_zero,
     load_catalog,
     save_catalog,
+    ZetaZero,
 )
 
 
@@ -58,6 +60,15 @@ def test_load_parse_error_reports_line(tmp_path):
     with pytest.raises(CatalogParseError, match="line 1"):
         load_catalog(path)
     path.write_text("14.1\nxyz 2 3 4\n")
+    with pytest.raises(CatalogParseError, match="line 2"):
+        load_catalog(path)
+
+
+def test_load_non_finite_ordinate_rejected(tmp_path):
+    with pytest.raises(DomainError, match="finite"):
+        ZetaZero(1, float("inf"))
+    path = tmp_path / "zeros.txt"
+    path.write_text("14.1\ninf\n")
     with pytest.raises(CatalogParseError, match="line 2"):
         load_catalog(path)
 

@@ -4,8 +4,9 @@ The package implements two asymptotic harmonic-series identities tied to
 single non-trivial zeros of the Riemann zeta function, yielding gamma
 estimates from one zero ordinate each; the inverse direction recovers
 zero ordinates by fixed-point iteration.  An O(k^2) brute-force double
-sum and an O(k) factorized path cross-check each other, and every long
-sum runs through ``math.fsum`` over a fixed chunking.
+sum and an O(k) factorized path cross-check each other.  The ``n^-s``
+sums of ``series`` are calls of one primitive, ``partial_zeta``, and
+every long sum runs through ``math.fsum`` over a fixed chunking.
 """
 
 from .bench import BenchReport, bench_offdiag
@@ -46,6 +47,7 @@ from .series import (
     harmonic_partial_sum,
     offdiag_factorized,
     offdiag_naive,
+    partial_zeta,
     stieltjes_estimate,
     trig_sums,
     zeta_em,

@@ -1,13 +1,14 @@
 """Truncated series and closed forms tied to zeta zeros on the critical strip.
 
 All functions work in plain binary64 and accumulate through the
-correctly rounded sums in :mod:`zetagamma.summation`.  The two headline
-results are ``gamma_type1`` and ``gamma_type2``: estimates of the
-Euler-Mascheroni constant built from a single non-trivial zeta zero
-ordinate, one via the alternating (eta-form) series, one via the
-non-alternating truncated series.  Both reduce an O(k^2) double sum to
-O(k) through the squared-trig-sum factorization checked against the
-brute-force oracle ``offdiag_naive``.
+correctly rounded sums in :mod:`zetagamma.summation`.  Every ``n^-s`` sum
+is read off one primitive, ``partial_zeta(sigma, t, k, alternating)``.
+The two headline results are ``gamma_type1`` and ``gamma_type2``:
+estimates of the Euler-Mascheroni constant built from a single
+non-trivial zeta zero ordinate, one via the alternating (eta-form)
+series, one via the non-alternating truncated series.  Both reduce an
+O(k^2) double sum to O(k) through the squared-trig-sum factorization
+checked against the brute-force oracle ``offdiag_naive``.
 """
 
 from __future__ import annotations
@@ -140,10 +141,42 @@ class BernoulliTable:
 _DEFAULT_BERNOULLI = BernoulliTable.default()
 
 
+def _n_pow(idx: np.ndarray, sigma: float,
+           alternating: bool = False) -> np.ndarray:
+    # e_n n^-sigma: 1/sqrt(n) at sigma = 1/2 (nf ** -1.0 is bit-identical to
+    # 1/nf), negated at odd n when alternating.
+    nf = idx.astype(np.float64)
+    w = 1.0 / np.sqrt(nf) if sigma == 0.5 else nf ** -sigma
+    return np.where((idx & 1) == 1, -w, w) if alternating else w
+
+
+def partial_zeta(sigma: float, t: float, k: int,
+                 alternating: bool = False) -> complex:
+    """S(s, k) = sum_{n=1..k} e_n n^-s at s = sigma + it, in one traversal.
+
+    ``e_n = (-1)^n`` when ``alternating``, else 1.  The real part sums
+    ``e_n cos(t log n)/n^sigma`` and the imaginary part
+    ``-e_n sin(t log n)/n^sigma``.  At ``t == 0`` only the real part is
+    summed and the imaginary part is ``0.0``.
+    """
+    k = _check_positive_int(k, "k", minimum=0)
+    if t == 0.0:
+        return complex(chunked_parallel_sum(
+            lambda idx: _n_pow(idx, sigma, alternating), k), 0.0)
+
+    def pair(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        w = _n_pow(idx, sigma, alternating)
+        arg = t * np.log(idx.astype(np.float64))
+        return np.cos(arg) * w, -np.sin(arg) * w
+
+    re, im = chunked_parallel_pair_sum(pair, k)
+    return complex(re, im)
+
+
 def harmonic_partial_sum(k: int) -> float:
     """H_k = sum of 1/n for n = 1..k, compensated."""
     k = _check_positive_int(k, "k")
-    return chunked_parallel_sum(lambda n: 1.0 / n, k)
+    return partial_zeta(1.0, 0.0, k).real
 
 
 def harmonic_asymptotic(k: int, gamma: float, n_terms: int,
@@ -154,10 +187,9 @@ def harmonic_asymptotic(k: int, gamma: float, n_terms: int,
     ``n_terms = 0`` keeps only the 1/(2k) correction.
     """
     k = _check_positive_int(k, "k")
+    n_terms = _check_positive_int(n_terms, "n_terms", minimum=0)
     if bernoulli is None:
         bernoulli = _DEFAULT_BERNOULLI
-    if n_terms < 0:
-        raise DomainError("n_terms must be >= 0")
     if n_terms > len(bernoulli):
         raise DomainError(
             f"n_terms={n_terms} exceeds Bernoulli table length {len(bernoulli)}")
@@ -177,8 +209,9 @@ def stieltjes_estimate(n: int, m: int) -> float:
     n = _check_positive_int(n, "n", minimum=0)
     m = _check_positive_int(m, "m", minimum=2)
     if n == 0:
-        series = chunked_parallel_sum(lambda j: 1.0 / j, m)
+        series = harmonic_partial_sum(m)
     else:
+        # (log j)^n / j is not an n^-s sum, so it keeps its own callback.
         series = chunked_parallel_sum(
             lambda j: np.log(j.astype(np.float64)) ** n / j, m)
     return series - math.log(m) ** (n + 1) / (n + 1)
@@ -192,27 +225,13 @@ def trig_sums(params: SeriesParams, alternating: bool) -> TrigSums:
     alternating=False: P = sum cos(t log n)/n^sigma,
                        Q = sum sin(t log n)/n^sigma.
 
-    log n is computed once per index and shared by both components.
+    Both are read off ``partial_zeta(sigma, t, k, alternating)``.
     """
-    sigma = params.sigma
-    t = params.t
-
-    def pair(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        nf = idx.astype(np.float64)
-        if sigma == 0.5:
-            w = 1.0 / np.sqrt(nf)
-        else:
-            w = nf ** (-sigma)
-        arg = t * np.log(nf)
-        c = np.cos(arg) * w
-        s = np.sin(arg) * w
-        if alternating:
-            sign = np.where((idx & 1) == 1, -1.0, 1.0)
-            return sign * c, -sign * s
-        return c, s
-
-    a, b = chunked_parallel_pair_sum(pair, params.k)
-    return TrigSums(cos_sum=a, sin_sum=b, alternating=alternating, params=params)
+    z = partial_zeta(params.sigma, params.t, params.k, alternating)
+    # 0.0 - x, not -x: the t = 0 sine sum stays +0.0.
+    sin_sum = z.imag if alternating else 0.0 - z.imag
+    return TrigSums(cos_sum=z.real, sin_sum=sin_sum, alternating=alternating,
+                    params=params)
 
 
 def c_squared(sigma: float, t: float) -> float:
@@ -224,6 +243,8 @@ def c_squared(sigma: float, t: float) -> float:
     """
     if not (0.0 < sigma < 1.0):
         raise DomainError("sigma must lie in the open interval (0, 1)")
+    if not math.isfinite(t):
+        raise DomainError("t must be finite")
     denom = 1.0 + 2.0 ** (2.0 * (1.0 - sigma)) \
         - 2.0 ** (2.0 - sigma) * math.cos(t * math.log(2.0))
     return 1.0 / denom
@@ -234,14 +255,6 @@ def zeta_mag_sq_alternating(params: SeriesParams) -> float:
     ts = trig_sums(params, alternating=True)
     return c_squared(params.sigma, params.t) * (
         ts.cos_sum * ts.cos_sum + ts.sin_sum * ts.sin_sum)
-
-
-def _diagonal_sum(sigma: float, k: int) -> float:
-    two_sigma = 2.0 * sigma
-    if two_sigma == 1.0:
-        return chunked_parallel_sum(lambda n: 1.0 / n, k)
-    return chunked_parallel_sum(
-        lambda n: n.astype(np.float64) ** (-two_sigma), k)
 
 
 def offdiag_naive(params: SeriesParams, alternating: bool,
@@ -265,18 +278,11 @@ def offdiag_naive(params: SeriesParams, alternating: bool,
     t = params.t
     sigma = params.sigma
     m_all = np.arange(1, k + 1, dtype=np.float64)
-    if sigma == 0.5:
-        w_all = 1.0 / np.sqrt(m_all)
-    else:
-        w_all = m_all ** (-sigma)
-    if alternating:
-        sign_all = np.where((np.arange(1, k + 1) & 1) == 1, -1.0, 1.0)
+    w_all = _n_pow(np.arange(1, k + 1), sigma, alternating)
     rows = []
     for n in range(1, k):
         terms = np.cos(t * np.log(m_all[n:] / float(n))) * w_all[n:]
         terms *= w_all[n - 1]
-        if alternating:
-            terms *= sign_all[n:] * sign_all[n - 1]
         rows.append(compensated_sum(terms))
     return 2.0 * math.fsum(rows)
 
@@ -290,7 +296,7 @@ def offdiag_factorized(params: SeriesParams, alternating: bool) -> float:
     ``offdiag_naive`` at every finite k up to rounding.
     """
     ts = trig_sums(params, alternating)
-    diag = _diagonal_sum(params.sigma, params.k)
+    diag = partial_zeta(2.0 * params.sigma, 0.0, params.k).real
     return ts.cos_sum * ts.cos_sum + ts.sin_sum * ts.sin_sum - diag
 
 
@@ -346,16 +352,8 @@ def zeta_em(s_sigma: float, s_t: float, k: int,
         raise DomainError("s = 1 is the pole of zeta")
     sigma = float(s_sigma)
     t = float(s_t)
-
-    def pair(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        nf = idx.astype(np.float64)
-        w = nf ** (-sigma)
-        arg = t * np.log(nf)
-        return np.cos(arg) * w, -np.sin(arg) * w
-
-    re, im = chunked_parallel_pair_sum(pair, k - 1)
     s = complex(sigma, t)
-    z = complex(re, im) - k ** (1.0 - s) / (1.0 - s)
+    z = partial_zeta(sigma, t, k - 1) - k ** (1.0 - s) / (1.0 - s)
     if order >= EulerMaclaurinOrder.HALF_TERM:
         z += 0.5 * k ** (-s)
     if order >= EulerMaclaurinOrder.B2_TERM:
@@ -374,8 +372,8 @@ def em_rhs(t_q: float, k: int) -> tuple[float, float]:
         sqrt(k)/(1/4 + t^2) * (sin(t log k)/2 - t cos(t log k))
     """
     k = _check_positive_int(k, "k")
-    if not (t_q > 0.0):
-        raise DomainError("t_q must be positive")
+    if not (0.0 < t_q < math.inf):
+        raise DomainError("t_q must be finite and positive")
     lk = math.log(k)
     pref = math.sqrt(k) / (0.25 + t_q * t_q)
     return (pref * (0.5 * math.cos(t_q * lk) + t_q * math.sin(t_q * lk)),

@@ -7,7 +7,7 @@ accumulation is not good enough.  Every long sum therefore goes through
 exactly rounded total of its binary64 inputs.
 
 * ``compensated_sum`` - correctly rounded total of an explicit term
-  sequence; rejects non-finite terms.
+  sequence.
 * ``chunked_parallel_sum`` / ``chunked_parallel_pair_sum`` - the index
   range ``1..k`` is cut into fixed chunks, each chunk's terms are computed
   in one vectorized call and summed, and the chunk totals are summed in
@@ -17,6 +17,8 @@ exactly rounded total of its binary64 inputs.
 A chunked total is the correctly rounded sum of correctly rounded chunk
 totals, so it can differ from a flat ``compensated_sum`` of the same terms
 in the last place; determinism for a fixed chunking is the contract.
+Every sum raises ``DomainError`` on a non-finite term or a total that
+overflows binary64.
 """
 
 from __future__ import annotations
@@ -56,29 +58,23 @@ def get_num_workers() -> int:
 
 
 def _fsum(values: list[float]) -> float:
-    # fsum raises OverflowError when the exact total exceeds binary64 and
-    # ValueError on inf + -inf; both are domain errors of the sum.
+    # fsum returns nan or inf only for a non-finite term, and raises
+    # OverflowError when the exact total exceeds binary64 and ValueError on
+    # inf + -inf; all are domain errors of the sum.
     try:
-        return math.fsum(values)
+        total = math.fsum(values)
     except (OverflowError, ValueError):
         raise DomainError("sum is not finite in binary64") from None
+    if not math.isfinite(total):
+        raise DomainError("non-finite term in summation input")
+    return total
 
 
 def compensated_sum(terms: Iterable[float] | np.ndarray) -> float:
-    """Correctly rounded total of ``terms``.
-
-    Raises ``DomainError`` on any non-finite term or a total that
-    overflows binary64.
-    """
+    """Correctly rounded total of ``terms``."""
     if isinstance(terms, np.ndarray):
-        arr = np.asarray(terms, dtype=np.float64)
-        if not np.isfinite(arr).all():
-            raise DomainError("non-finite term in summation input")
-        return _fsum(arr.ravel().tolist())
-    values = [float(x) for x in terms]
-    if not all(map(math.isfinite, values)):
-        raise DomainError("non-finite term in summation input")
-    return _fsum(values)
+        return _fsum(np.asarray(terms, dtype=np.float64).ravel().tolist())
+    return _fsum([float(x) for x in terms])
 
 
 def _chunked_fsum(block_fn: Callable[[np.ndarray], tuple[np.ndarray, ...]],

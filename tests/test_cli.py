@@ -100,6 +100,16 @@ def test_zero_iterate_non_finite_y0_exits_3(capsys):
     assert "y0" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_zero_iterate_bad_tol_exits_3(capsys, tol):
+    code, out, err = run_cli(capsys, "zero-iterate", "--map", "g",
+                             "--y0", "14", "--k", "100", "--iters", "2",
+                             "--tol", tol)
+    assert code == 3
+    assert out == ""
+    assert "tol" in err
+
+
 def test_zeros_file_non_finite_ordinate_exits_2(capsys, tmp_path):
     path = tmp_path / "zeros.txt"
     path.write_text("14.1\ninf\n")

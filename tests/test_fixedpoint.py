@@ -120,6 +120,14 @@ def test_iterate_preconditions():
         iterate_fixed_point(FixedPointMap.G_MAP, 14.2, 100, 0, 1e-12)
 
 
+@pytest.mark.parametrize("max_iters, tol", [
+    (5, math.nan), (5, -1.0), (5, math.inf), (2.5, 1e-12), (True, 1e-12),
+])
+def test_iterate_rejects_bad_tol_and_max_iters(max_iters, tol):
+    with pytest.raises(DomainError):
+        iterate_fixed_point(FixedPointMap.G_MAP, 14.2, 1000, max_iters, tol)
+
+
 @pytest.mark.parametrize("call", [
     lambda: f_of_t(math.inf, 100),
     lambda: g_of_t(math.inf, 100),

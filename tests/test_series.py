@@ -22,6 +22,7 @@ from zetagamma import (
     harmonic_partial_sum,
     offdiag_factorized,
     offdiag_naive,
+    partial_zeta,
     stieltjes_estimate,
     trig_sums,
     zeta_em,
@@ -59,6 +60,19 @@ def test_bool_rejected_where_integer_expected():
         SeriesParams(0.5, T1, True)
     with pytest.raises(DomainError):
         stieltjes_estimate(True, 100)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: c_squared(0.5, math.inf),
+    lambda: c_squared(0.5, math.nan),
+    lambda: em_rhs(math.inf, 10),
+    lambda: harmonic_asymptotic(10, 0.5, 2.5),
+    lambda: harmonic_asymptotic(10, 0.5, True),
+], ids=["c_squared_inf", "c_squared_nan", "em_rhs_inf",
+        "n_terms_float", "n_terms_bool"])
+def test_typed_errors_at_library_edge(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_harmonic_asymptotic_matches_partial_sum():
@@ -138,6 +152,68 @@ def test_trig_sums_sine_vanishes_at_t0(k):
 def test_trig_sums_finite_for_general_sigma():
     ts = trig_sums(SeriesParams(0.25, 55.5, 1000), alternating=False)
     assert math.isfinite(ts.cos_sum) and math.isfinite(ts.sin_sum)
+
+
+# ------------------------------ partial zeta -------------------------------
+
+def _partial_zeta_mp(sigma, t, k, alternating):
+    # S(s, k) at 40 digits from the binary64 inputs, term by term.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        s = mpmath.mpc(sigma, t)
+        total = mpmath.mpc(0)
+        for n in range(1, k + 1):
+            term = mpmath.power(n, -s)
+            total += -term if (alternating and n % 2) else term
+        return complex(total)
+
+
+def test_partial_zeta_matches_mpmath():
+    rng = random.Random(2468)
+    cases = [(2.0, 0.0, 500, False), (2.0, 0.0, 500, True)]
+    for _ in range(8):
+        cases.append((rng.uniform(0.05, 0.95), rng.uniform(0.0, 300.0),
+                      rng.randint(1, 3000), rng.random() < 0.5))
+    for sigma, t, k, alternating in cases:
+        ref = _partial_zeta_mp(sigma, t, k, alternating)
+        got = partial_zeta(sigma, t, k, alternating)
+        assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref)), (sigma, t, k)
+
+
+def test_partial_zeta_alternating_identity():
+    # sum (-1)^n n^-s = 2^(1-s) S(s, floor(k/2)) - S(s, k).
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(sigma=st.floats(0.05, 0.95), t=st.floats(0.0, 300.0),
+                      k=st.integers(1, 3000))
+    def check(sigma, t, k):
+        s = complex(sigma, t)
+        full = partial_zeta(sigma, t, k)
+        identity = 2.0 ** (1.0 - s) * partial_zeta(sigma, t, k // 2) - full
+        alt = partial_zeta(sigma, t, k, alternating=True)
+        assert abs(alt - identity) <= 1e-11 * max(1.0, abs(full))
+
+    check()
+
+
+@pytest.mark.parametrize("alternating", [False, True])
+def test_partial_zeta_real_s_has_zero_imaginary_part(alternating):
+    z = partial_zeta(0.3, 0.0, 5000, alternating)
+    assert z.imag == 0.0 and math.copysign(1.0, z.imag) == 1.0
+
+
+@pytest.mark.parametrize("k", [1, 10, 4097, 10**5])
+def test_harmonic_is_partial_zeta_at_one(k):
+    assert harmonic_partial_sum(k) == partial_zeta(1.0, 0.0, k).real
+
+
+def test_partial_zeta_empty_and_non_finite():
+    assert partial_zeta(0.5, 3.0, 0) == 0j
+    with pytest.raises(DomainError):
+        partial_zeta(0.5, math.nan, 10)
 
 
 # -------------------------------- c^2 -------------------------------------
@@ -261,6 +337,11 @@ def test_zeta_em_trivial_pole_only():
 
 def test_zeta_em_near_zero_ordinate():
     assert abs(zeta_em(0.5, T1, 10**5, EulerMaclaurinOrder.HALF_TERM)) < 1e-3
+
+
+def test_zeta_em_rejects_non_finite_ordinate():
+    with pytest.raises(DomainError):
+        zeta_em(2.0, math.nan, 100)
 
 
 def test_zeta_em_rejects_pole():

@@ -46,6 +46,19 @@ def test_overflowing_total_rejected():
         chunked_parallel_sum(lambda n: np.full(n.shape, 1e308), 10)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_chunked_non_finite_term_rejected(bad):
+    def pair(idx):
+        terms = np.ones(idx.shape)
+        terms[-1] = bad
+        return np.ones(idx.shape), terms
+
+    with pytest.raises(DomainError):
+        chunked_parallel_sum(lambda n: np.full(n.shape, bad), 10)
+    with pytest.raises(DomainError):
+        chunked_parallel_pair_sum(pair, 10_000)
+
+
 def test_harmonic_terms_match_exact_rational():
     # H_1e6 of the rounded 1/n terms; math.fsum is the exact oracle.
     terms = 1.0 / np.arange(1, 10**6 + 1, dtype=np.float64)

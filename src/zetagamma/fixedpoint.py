@@ -84,11 +84,14 @@ def f_of_t(t: float, k: int, gamma_ref: float = EULER_GAMMA) -> float:
 
     Raises ``SingularGuardError`` when the inverted quantity is not
     positive or the square-root argument is negative - the formula left
-    its real domain at this (t, k).
+    its real domain at this (t, k).  A non-finite ``gamma_ref`` is a
+    ``DomainError``.
     """
     if not (0.0 < t < math.inf):
         raise DomainError("t must be finite and positive")
     k = _check_positive_int(k, "k", minimum=2)
+    if not math.isfinite(gamma_ref):
+        raise DomainError("gamma_ref must be finite")
     off = offdiag_factorized(SeriesParams(0.5, t, k), alternating=False)
     denom = gamma_ref + math.log(k) + off
     if denom <= 0.0:
@@ -149,6 +152,8 @@ def iterate_fixed_point(map: FixedPointMap, y0: float, k: int,
     max_iters = _check_positive_int(max_iters, "max_iters")
     if not (0.0 <= tol < math.inf):
         raise DomainError("tol must be finite and >= 0")
+    if not math.isfinite(gamma_ref):
+        raise DomainError("gamma_ref must be finite")
     iterates = [float(y0)]
     status = FixedPointStatus.MAX_ITERS
     residual: float | None = None

@@ -138,6 +138,21 @@ def test_non_finite_ordinate_rejected(call):
         call()
 
 
+@pytest.mark.parametrize("gamma_ref", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", [
+    lambda g: f_of_t(T1, 1000, g),
+    lambda g: t_squared_extract(T1, 1000, g),
+    lambda g: iterate_fixed_point(FixedPointMap.F_MAP, 14.2, 1000, 3, 0.0,
+                                  gamma_ref=g),
+    lambda g: iterate_fixed_point(FixedPointMap.G_MAP, 14.2, 1000, 3, 0.0,
+                                  gamma_ref=g),
+], ids=["f_of_t", "t_squared_extract", "iterate_f", "iterate_g"])
+def test_non_finite_gamma_ref_rejected(call, gamma_ref):
+    with pytest.raises(DomainError, match="gamma_ref"):
+        call(gamma_ref)
+
+
 def test_trace_serialization_shapes():
     trace = iterate_fixed_point(FixedPointMap.G_MAP, T1, 10**4, 2, 0.0)
     rows = trace.csv_rows()

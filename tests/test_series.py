@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from zetagamma import series as series_module
 from zetagamma import (
     EULER_GAMMA,
     BernoulliTable,
@@ -68,8 +69,12 @@ def test_bool_rejected_where_integer_expected():
     lambda: em_rhs(math.inf, 10),
     lambda: harmonic_asymptotic(10, 0.5, 2.5),
     lambda: harmonic_asymptotic(10, 0.5, True),
+    lambda: harmonic_asymptotic(10, math.nan, 2),
+    lambda: harmonic_asymptotic(10, math.inf, 2),
+    lambda: harmonic_asymptotic(10, -math.inf, 2),
 ], ids=["c_squared_inf", "c_squared_nan", "em_rhs_inf",
-        "n_terms_float", "n_terms_bool"])
+        "n_terms_float", "n_terms_bool",
+        "gamma_nan", "gamma_inf", "gamma_-inf"])
 def test_typed_errors_at_library_edge(call):
     with pytest.raises(DomainError):
         call()
@@ -314,6 +319,62 @@ def test_offdiag_equivalence_seeded_random():
         naive = offdiag_naive(p, alt)
         fact = offdiag_factorized(p, alt)
         assert abs(naive - fact) <= 1e-11 * max(1.0, abs(naive))
+
+
+def _offdiag_double_loop(sigma, t, k, alternating):
+    # 2 sum_{n<m<=k} e_m e_n cos(t log(m/n)) / (mn)^sigma, one pair at a time.
+    def w(n):
+        sign = -1.0 if (alternating and n % 2) else 1.0
+        return sign * n ** -sigma
+    return 2.0 * math.fsum(math.cos(t * math.log(m / n)) * w(m) * w(n)
+                           for n in range(1, k + 1)
+                           for m in range(n + 1, k + 1))
+
+
+def test_offdiag_naive_matches_double_loop():
+    rng = random.Random(97531)
+    for _ in range(12):
+        sigma = rng.uniform(0.05, 0.95)
+        t = rng.uniform(0.0, 300.0)
+        k = rng.randint(2, 120)
+        for alt in (True, False):
+            ref = _offdiag_double_loop(sigma, t, k, alt)
+            got = offdiag_naive(SeriesParams(sigma, t, k), alt)
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (sigma, t, k)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("k", [2, 3, 9, 40, 120])
+def test_offdiag_naive_block_boundaries(monkeypatch, block, k):
+    # block 1: one row per block; 7: ragged last blocks; 64 at k <= 9: one
+    # block holds every row.
+    p = SeriesParams(0.37, 123.4, k)
+    default = {alt: offdiag_naive(p, alt) for alt in (True, False)}
+    monkeypatch.setattr(series_module, "_NAIVE_BLOCK", block)
+    for alt in (True, False):
+        ref = _offdiag_double_loop(p.sigma, p.t, k, alt)
+        got = offdiag_naive(p, alt)
+        tol = 1e-12 * max(1.0, abs(ref))
+        assert abs(got - ref) <= tol
+        assert abs(got - default[alt]) <= tol
+
+
+def test_offdiag_naive_equals_factorized_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(sigma=st.floats(0.05, 0.95), t=st.floats(0.0, 300.0),
+                      k=st.integers(2, 300))
+    def check(sigma, t, k):
+        p = SeriesParams(sigma, t, k)
+        for alt in (True, False):
+            naive = offdiag_naive(p, alt)
+            fact = offdiag_factorized(p, alt)
+            assert abs(naive - fact) <= 1e-11 * max(1.0, abs(naive))
+
+    check()
 
 
 def test_offdiag_cap_enforced_and_overridable():

@@ -3,7 +3,8 @@
 Subcommands: gamma, zero-iterate, tables, bench.  Every command is
 deterministic given its flags and input files; --threads N is accepted,
 sums run on one thread, and results never depend on N.  Exit codes:
-0 ok, 2 catalog miss, 3 domain or cap error, 4 diverged iteration,
+0 ok, 1 other failure (an unwritable --out file, or bench routes that
+disagree), 2 catalog miss, 3 domain or cap error, 4 diverged iteration,
 5 singular guard.
 """
 
@@ -31,8 +32,9 @@ EXIT_DOMAIN = 3
 EXIT_DIVERGED = 4
 EXIT_SINGULAR = 5
 
-#: Above this k, per-call sums scan enough terms to take whole seconds.
-RUNTIME_WARN_K = 5_000_000
+#: From this k on, one g-map step takes about a second or more (0.90-0.99 s
+#: at 3e7 and 1.07-1.10 s at 3.5e7 on 2 vCPUs).
+RUNTIME_WARN_K = 30_000_000
 
 
 def _fmt(value) -> str:

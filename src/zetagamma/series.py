@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DomainError, OracleCapError
 from .summation import (
+    _check_positive_int,
     chunked_parallel_pair_sum,
     chunked_parallel_sum,
     compensated_sum,
@@ -39,15 +40,6 @@ ORACLE_CAP = 50_000
 #: temporary): enough rows per numpy call to amortize the call overhead,
 #: few enough to keep the working set cache-resident.
 _NAIVE_BLOCK = 1 << 14
-
-
-def _check_positive_int(value: int, name: str, minimum: int = 1) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DomainError(f"{name} must be an integer")
-    value = int(value)
-    if value < minimum:
-        raise DomainError(f"{name} must be >= {minimum}")
-    return value
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 Several quantities in this package (squared trig sums evaluated near a
 zeta zero) cancel to within a few ulp of zero, so naive left-to-right
-accumulation is not good enough.  Every long sum therefore goes through
+accumulation is not good enough.  Every long sum therefore ends in
 ``math.fsum`` (Shewchuk's adaptive-precision algorithm), which returns the
 exactly rounded total of its binary64 inputs.
 
@@ -14,11 +14,26 @@ exactly rounded total of its binary64 inputs.
   ascending chunk order.  Sums run on one thread; the ``workers`` count is
   validated and accepted, but results never depend on it.
 
+A chunk is not handed to ``fsum`` term by term.  It is first reduced
+exactly in numpy by the error-free extraction of Rump, Ogita and Oishi
+("Accurate floating-point summation part I: faithful rounding", SIAM J.
+Sci. Comput. 31(1), 2008, Lemma 3.3): for ``n`` terms ``x`` with
+``n < 2^M`` and ``|x_i| <= 2^-M sigma``, ``sigma`` a power of two,
+``q = (sigma + x) - sigma`` and ``x - q`` are exact, ``sum(q)`` is exact
+in any order, and ``|x - q| <= 2^-53 sigma``.  Taking ``sigma`` just
+above ``2^M max|x|``, each pass lowers the bound on ``max|x|`` by a factor
+``2^(53 - M)``, and a few passes empty the chunk (two for the package's
+own terms at 4096-term chunks, at most 57 seen in tests); ``fsum`` then
+rounds the handful of pass totals.  ``fsum`` stays the only step that
+rounds, so a chunk total is exactly ``math.fsum`` of its terms.  A chunk
+whose ``sigma`` would exceed ``2^1023`` (some ``|x_i| >= 2^(1023 - M)``)
+goes to ``fsum`` term by term instead.
+
 A chunked total is the correctly rounded sum of correctly rounded chunk
 totals, so it can differ from a flat ``compensated_sum`` of the same terms
 in the last place; determinism for a fixed chunking is the contract.
 Every sum raises ``DomainError`` on a non-finite term or a total that
-overflows binary64.
+overflows binary64.  The chunked sums take at most ``MAX_DIRECT_K`` terms.
 """
 
 from __future__ import annotations
@@ -34,7 +49,21 @@ from .errors import DomainError
 #: per-call overhead, small enough to stay cache-resident.
 DEFAULT_CHUNK = 4096
 
+#: Largest index range the chunked sums accept.  Every term is computed,
+#: so the runtime grows linearly in k: one gamma estimate takes 7 s at
+#: k = 1e8 on 2 vCPUs, so over a minute at this cap.
+MAX_DIRECT_K = 10**9
+
 _num_workers = 1
+
+
+def _check_positive_int(value: int, name: str, minimum: int = 1) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer")
+    value = int(value)
+    if value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}")
+    return value
 
 
 def _check_workers(n: int) -> int:
@@ -77,20 +106,43 @@ def compensated_sum(terms: Iterable[float] | np.ndarray) -> float:
     return _fsum([float(x) for x in terms])
 
 
+def _chunk_total(terms: np.ndarray) -> float:
+    # Exact extraction passes (see the module docstring), then one fsum.
+    # The passes overwrite x, so it is a copy of the caller's terms.
+    x = np.array(terms, dtype=np.float64).ravel()
+    m = x.size.bit_length()
+    q = np.empty_like(x)
+    mu = float(np.abs(x, out=q).max(initial=0.0))
+    if not math.isfinite(mu):
+        raise DomainError("non-finite term in summation input")
+    if math.frexp(mu)[1] + m > 1023:
+        return _fsum(x.tolist())
+    parts: list[float] = []
+    while mu:
+        sigma = math.ldexp(1.0, math.frexp(mu)[1] + m)
+        np.add(x, sigma, out=q)
+        q -= sigma
+        x -= q
+        parts.append(float(q.sum()))
+        mu = float(np.abs(x, out=q).max())
+    return _fsum(parts)
+
+
 def _chunked_fsum(block_fn: Callable[[np.ndarray], tuple[np.ndarray, ...]],
                   width: int, k: int, chunk: int,
                   workers: int | None) -> tuple[float, ...]:
     # ``block_fn`` maps one chunk's indices to ``width`` term arrays.
-    if chunk < 1:
-        raise DomainError("chunk size must be >= 1")
+    k = _check_positive_int(k, "k", minimum=0)
+    chunk = _check_positive_int(chunk, "chunk size")
+    if k > MAX_DIRECT_K:
+        raise DomainError(f"k={k} exceeds the direct-sum cap {MAX_DIRECT_K}")
     if workers is not None:
         _check_workers(workers)
-    k = int(k)
     totals: list[list[float]] = [[] for _ in range(width)]
     for lo in range(1, k + 1, chunk):
         idx = np.arange(lo, min(lo + chunk, k + 1), dtype=np.int64)
         for column, terms in zip(totals, block_fn(idx)):
-            column.append(_fsum(np.asarray(terms, dtype=np.float64).tolist()))
+            column.append(_chunk_total(terms))
     return tuple(_fsum(column) for column in totals)
 
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import time
 
 import pytest
 
@@ -57,6 +58,16 @@ def test_gamma_domain_error_exits_3(capsys):
                            "--q", "1", "--k", "1")
     assert code == 3
     assert "k" in err
+
+
+def test_gamma_k_above_direct_cap_exits_3(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "gamma", "--method", "type1",
+                             "--q", "1", "--k", "1000000001")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "cap" in err
 
 
 def test_zeros_file_flag(capsys, tmp_path):
@@ -164,6 +175,16 @@ def test_tables_out_file_and_json(capsys, tmp_path):
     assert payload["table_id"] == "T4"
     assert len(payload["rows"]) == 1
     assert payload["rows"][0]["dev"] <= 1e-6
+
+
+def test_tables_unwritable_out_exits_1(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "t1.csv"
+    code, out, err = run_cli(capsys, "tables", "--id", "T1", "--k", "10",
+                             "--out", str(out_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {out_path}")
+    assert not out_path.exists()
 
 
 def test_tables_q_subset(capsys):

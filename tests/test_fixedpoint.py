@@ -1,6 +1,7 @@
 """Fixed-point maps and the iteration experiment."""
 
 import math
+import time
 
 import pytest
 
@@ -15,6 +16,7 @@ from zetagamma import (
     iterate_fixed_point,
     t_squared_extract,
 )
+from zetagamma.summation import MAX_DIRECT_K
 
 T1 = 14.1347251417347
 T3 = 25.0108575801457
@@ -67,6 +69,13 @@ def test_g_singular_guard():
     k = 1000
     with pytest.raises(SingularGuardError):
         g_of_t((math.pi / 2.0) / math.log(k), k)
+
+
+def test_g_refuses_k_above_direct_cap_quickly():
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="cap"):
+        g_of_t(14.2, MAX_DIRECT_K + 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_iterate_converged_on_loose_tolerance():

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ConsistencyError
-from .series import ORACLE_CAP, SeriesParams, offdiag_factorized, offdiag_naive
+from .series import SeriesParams, offdiag_factorized, offdiag_naive
 
 #: Reports with a larger naive/factorized discrepancy abort the run.
 MAX_ALLOWED_DIFF = 1e-10
@@ -48,7 +48,7 @@ def _median_time(fn, repeats: int) -> tuple[float, float]:
     return times[len(times) // 2], value
 
 
-def bench_offdiag(t: float, k_list: Sequence[int], cap: int = ORACLE_CAP,
+def bench_offdiag(t: float, k_list: Sequence[int],
                   repeats: int = 3) -> list[BenchReport]:
     """Time both off-diagonal routes on identical inputs.
 
@@ -60,7 +60,7 @@ def bench_offdiag(t: float, k_list: Sequence[int], cap: int = ORACLE_CAP,
     for k in k_list:
         params = SeriesParams(0.5, t, int(k))
         naive_s, naive_v = _median_time(
-            lambda: offdiag_naive(params, alternating=True, cap=cap), repeats)
+            lambda: offdiag_naive(params, alternating=True), repeats)
         fact_s, fact_v = _median_time(
             lambda: offdiag_factorized(params, alternating=True), repeats)
         diff = abs(naive_v - fact_v)

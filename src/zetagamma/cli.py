@@ -4,8 +4,9 @@ Subcommands: gamma, zero-iterate, tables, bench.  Every command is
 deterministic given its flags and input files; --threads N is accepted,
 sums run on one thread, and results never depend on N.  Exit codes:
 0 ok, 1 other failure (an unwritable --out file, or bench routes that
-disagree), 2 catalog miss, 3 domain or cap error, 4 diverged iteration,
-5 singular guard.
+disagree), 2 catalog miss, unreadable --zeros-file or bad arguments (an
+empty --q/--k list among them), 3 domain or cap error, 4 diverged
+iteration, 5 singular guard.
 """
 
 from __future__ import annotations
@@ -32,6 +33,11 @@ EXIT_DOMAIN = 3
 EXIT_DIVERGED = 4
 EXIT_SINGULAR = 5
 
+#: Exit code of an error: the first entry whose type it is an instance of
+#: (an OracleCapError is a DomainError).
+_ERROR_EXIT = ((CatalogError, EXIT_CATALOG), (DomainError, EXIT_DOMAIN),
+               (SingularGuardError, EXIT_SINGULAR), (ZetaGammaError, 1))
+
 #: From this k on, one g-map step takes about a second or more (0.90-0.99 s
 #: at 3e7 and 1.07-1.10 s at 3.5e7 on 2 vCPUs).
 RUNTIME_WARN_K = 30_000_000
@@ -52,11 +58,14 @@ def _resolve_catalog(args):
     return builtin_catalog()
 
 
-def _int_list(text: str) -> list[int]:
+def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        values = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {exc}")
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one integer")
+    return values
 
 
 def _write_csv(stream, header: Sequence[str], rows) -> None:
@@ -104,33 +113,22 @@ def _cmd_zero_iterate(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    spec = TableSpec(table_id=args.id, k=args.k,
-                     zero_indices=tuple(args.q) if args.q else None)
+    spec = TableSpec(table_id=args.id, k=args.k, zero_indices=args.q)
     header, rows = build_table(spec, catalog=_resolve_catalog(args))
+    buf = io.StringIO()
     if args.json:
-        payload = {"table_id": args.id,
-                   "rows": [{name: row[name] for name in header} for row in rows]}
-        text = json.dumps(payload)
-        if args.out:
-            _write_file(args.out, text + "\n")
-        else:
-            print(text)
-        return EXIT_OK
-    if args.out:
-        buf = io.StringIO()
-        _write_csv(buf, header, ([row[name] for name in header] for row in rows))
-        _write_file(args.out, buf.getvalue())
+        buf.write(json.dumps({"table_id": args.id, "rows": rows}) + "\n")
     else:
-        _write_csv(sys.stdout, header, ([row[name] for name in header] for row in rows))
-    return EXIT_OK
-
-
-def _write_file(path: str, text: str) -> None:
+        _write_csv(buf, header, (row.values() for row in rows))
+    if not args.out:
+        sys.stdout.write(buf.getvalue())
+        return EXIT_OK
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(buf.getvalue())
     except OSError as exc:
-        raise ZetaGammaError(f"cannot write {path}: {exc}") from exc
+        raise ZetaGammaError(f"cannot write {args.out}: {exc}") from exc
+    return EXIT_OK
 
 
 def _cmd_bench(args) -> int:
@@ -203,18 +201,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         summation.set_num_workers(args.threads)
         return args.func(args)
-    except CatalogError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CATALOG
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except SingularGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
     except ZetaGammaError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for cls, code in _ERROR_EXIT if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -108,14 +108,14 @@ def t_squared_extract(t: float, k: int, gamma_ref: float = EULER_GAMMA) -> float
     return f_of_t(t, k, gamma_ref) ** 2
 
 
-def g_of_t(t: float, k: int, guard_eps: float = SINGULARITY_EPS) -> float:
+def g_of_t(t: float, k: int) -> float:
     """Cotangent zero map built on the single cosine sum.
 
     Returns ``cot(t log k) * ((1/4 + t^2)/(sqrt(k) cos(t log k)) *
     sum_{n=1..k} cos(t log n)/sqrt(n) - 1/2)``.
 
     Raises ``SingularGuardError`` when |sin(t log k)| or |cos(t log k)|
-    falls below ``guard_eps``; retry with a different k in that case.
+    falls below ``SINGULARITY_EPS``; retry with a different k in that case.
     """
     if not (0.0 < t < math.inf):
         raise DomainError("t must be finite and positive")
@@ -123,9 +123,9 @@ def g_of_t(t: float, k: int, guard_eps: float = SINGULARITY_EPS) -> float:
     x = t * math.log(k)
     s = math.sin(x)
     c = math.cos(x)
-    if abs(s) < guard_eps or abs(c) < guard_eps:
+    if abs(s) < SINGULARITY_EPS or abs(c) < SINGULARITY_EPS:
         raise SingularGuardError(
-            f"t log k = {x!r} sits within {guard_eps} of a trig pole "
+            f"t log k = {x!r} sits within {SINGULARITY_EPS} of a trig pole "
             f"(|sin|={abs(s):.3e}, |cos|={abs(c):.3e})")
     # Only Re S(1/2 + it, k) is needed: a cosine-only sum takes about 0.5 of
     # the time of partial_zeta's cos/sin pair, so g keeps its own callback.

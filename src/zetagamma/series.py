@@ -66,16 +66,13 @@ class SeriesParams:
 class TrigSums:
     """Paired cosine/sine partial sums over n = 1..k.
 
-    With ``alternating`` set these are the real and (negated) imaginary
-    parts of the truncated alternating series sum((-1)^n n^-s); without it
-    they are the plain truncated sums of cos(t log n)/n^sigma and
-    sin(t log n)/n^sigma.
+    For the alternating series these are the real and (negated) imaginary
+    parts of the truncated sum((-1)^n n^-s); for the plain series they are
+    the truncated sums of cos(t log n)/n^sigma and sin(t log n)/n^sigma.
     """
 
     cos_sum: float
     sin_sum: float
-    alternating: bool
-    params: SeriesParams
 
 
 class GammaMethod(Enum):
@@ -230,8 +227,7 @@ def trig_sums(params: SeriesParams, alternating: bool) -> TrigSums:
     z = partial_zeta(params.sigma, params.t, params.k, alternating)
     # 0.0 - x, not -x: the t = 0 sine sum stays +0.0.
     sin_sum = z.imag if alternating else 0.0 - z.imag
-    return TrigSums(cos_sum=z.real, sin_sum=sin_sum, alternating=alternating,
-                    params=params)
+    return TrigSums(cos_sum=z.real, sin_sum=sin_sum)
 
 
 def c_squared(sigma: float, t: float) -> float:

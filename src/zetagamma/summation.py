@@ -66,12 +66,6 @@ def _check_positive_int(value: int, name: str, minimum: int = 1) -> int:
     return value
 
 
-def _check_workers(n: int) -> int:
-    if n < 1:
-        raise DomainError("worker count must be >= 1")
-    return int(n)
-
-
 def set_num_workers(n: int) -> None:
     """Set the default worker count for chunked sums.
 
@@ -79,7 +73,7 @@ def set_num_workers(n: int) -> None:
     results never depend on it.
     """
     global _num_workers
-    _num_workers = _check_workers(n)
+    _num_workers = _check_positive_int(n, "worker count")
 
 
 def get_num_workers() -> int:
@@ -137,7 +131,7 @@ def _chunked_fsum(block_fn: Callable[[np.ndarray], tuple[np.ndarray, ...]],
     if k > MAX_DIRECT_K:
         raise DomainError(f"k={k} exceeds the direct-sum cap {MAX_DIRECT_K}")
     if workers is not None:
-        _check_workers(workers)
+        _check_positive_int(workers, "worker count")
     totals: list[list[float]] = [[] for _ in range(width)]
     for lo in range(1, k + 1, chunk):
         idx = np.arange(lo, min(lo + chunk, k + 1), dtype=np.int64)

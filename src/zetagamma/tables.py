@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .fixedpoint import f_of_t
-from .series import EULER_GAMMA, gamma_type1, gamma_type2
-from .zeros import ZeroCatalog, builtin_catalog, get_zero
+from .series import gamma_type1, gamma_type2
+from .zeros import ZeroCatalog, ZetaZero, builtin_catalog, get_zero
 
 TABLE_IDS = ("T1", "T2", "T3", "T4", "T5", "T6")
 
@@ -104,9 +104,25 @@ def _dev(value: float, ref: float | None) -> float | None:
     return None if ref is None else abs(value - ref)
 
 
-def build_table(spec: TableSpec, catalog: ZeroCatalog | None = None,
-                gamma_ref: float = EULER_GAMMA) -> tuple[tuple[str, ...], list[dict]]:
-    """Recompute one table; returns (column names, row dicts).
+def _cells(gamma: bool, zero: ZetaZero, k: int,
+           ref: tuple[float, float] | float | None) -> dict:
+    # One row's value and deviation cells: the gamma pair (ref a
+    # (type1, type2) pair) or the f map (ref a float); ref is None off the
+    # reference grid.
+    if not gamma:
+        v = f_of_t(zero.t, k)
+        return {"zero_estimate": v, "dev": _dev(v, ref)}
+    g1 = gamma_type1(zero.t, k, q=zero.q).value
+    g2 = gamma_type2(zero.t, k, q=zero.q).value
+    ref1, ref2 = (None, None) if ref is None else ref
+    return {"gamma_type1": g1, "gamma_type2": g2,
+            "dev_type1": _dev(g1, ref1), "dev_type2": _dev(g2, ref2)}
+
+
+def build_table(spec: TableSpec, catalog: ZeroCatalog | None = None
+                ) -> tuple[tuple[str, ...], list[dict]]:
+    """Recompute one table; returns (column names, row dicts keyed by them
+    in column order).
 
     Gamma tables carry columns (gamma_type1, gamma_type2, dev_type1,
     dev_type2); zero-map tables carry (zero_estimate, dev).  Deviation
@@ -115,56 +131,23 @@ def build_table(spec: TableSpec, catalog: ZeroCatalog | None = None,
     if catalog is None:
         catalog = builtin_catalog()
     tid = spec.table_id
-    sweep = tid in ("T1", "T4")
-
-    if sweep:
+    gamma = tid in ("T1", "T2", "T3")
+    columns = (("gamma_type1", "gamma_type2", "dev_type1", "dev_type2")
+               if gamma else ("zero_estimate", "dev"))
+    rows: list[dict] = []
+    if tid in ("T1", "T4"):
         if spec.zero_indices is not None and len(spec.zero_indices) != 1:
             raise DomainError(f"table {tid} sweeps k for a single zero; "
                               "pass exactly one zero index")
-        q = spec.zero_indices[0] if spec.zero_indices else 1
+        zero = get_zero(catalog, spec.zero_indices[0] if spec.zero_indices else 1)
+        refs = (REF_GAMMA_SWEEP if gamma else REF_ZERO_SWEEP) if zero.q == 1 else {}
+        for k in (spec.k,) if spec.k is not None else _K_SWEEP:
+            rows.append({"k": k, **_cells(gamma, zero, k, refs.get(k))})
+        return ("k",) + columns, rows
+    k = spec.k if spec.k is not None else _DEFAULT_K
+    refs = (REF_GAMMA_BY_Q if gamma else REF_ZERO_BY_Q) if k == _DEFAULT_K else {}
+    default_q = _Q_FIRST_TEN if tid in ("T2", "T5") else _Q_HIGH
+    for q in spec.zero_indices if spec.zero_indices is not None else default_q:
         zero = get_zero(catalog, q)
-        k_values = (spec.k,) if spec.k is not None else _K_SWEEP
-        on_grid = q == 1
-    else:
-        default_q = _Q_FIRST_TEN if tid in ("T2", "T5") else _Q_HIGH
-        q_values = spec.zero_indices if spec.zero_indices is not None else default_q
-        k = spec.k if spec.k is not None else _DEFAULT_K
-        on_grid = k == _DEFAULT_K
-
-    rows: list[dict] = []
-    if tid == "T1":
-        header = ("k", "gamma_type1", "gamma_type2", "dev_type1", "dev_type2")
-        for k in k_values:
-            ref = REF_GAMMA_SWEEP.get(k) if on_grid else None
-            g1 = gamma_type1(zero.t, k, q=zero.q).value
-            g2 = gamma_type2(zero.t, k, q=zero.q).value
-            rows.append({"k": k, "gamma_type1": g1, "gamma_type2": g2,
-                         "dev_type1": _dev(g1, ref[0] if ref else None),
-                         "dev_type2": _dev(g2, ref[1] if ref else None)})
-    elif tid in ("T2", "T3"):
-        header = ("q", "t_q", "gamma_type1", "gamma_type2",
-                  "dev_type1", "dev_type2")
-        for q in q_values:
-            zero = get_zero(catalog, q)
-            ref = REF_GAMMA_BY_Q.get(q) if on_grid else None
-            g1 = gamma_type1(zero.t, k, q=q).value
-            g2 = gamma_type2(zero.t, k, q=q).value
-            rows.append({"q": q, "t_q": zero.t,
-                         "gamma_type1": g1, "gamma_type2": g2,
-                         "dev_type1": _dev(g1, ref[0] if ref else None),
-                         "dev_type2": _dev(g2, ref[1] if ref else None)})
-    elif tid == "T4":
-        header = ("k", "zero_estimate", "dev")
-        for k in k_values:
-            ref = REF_ZERO_SWEEP.get(k) if on_grid else None
-            v = f_of_t(zero.t, k, gamma_ref)
-            rows.append({"k": k, "zero_estimate": v, "dev": _dev(v, ref)})
-    else:  # T5, T6
-        header = ("q", "t_q", "zero_estimate", "dev")
-        for q in q_values:
-            zero = get_zero(catalog, q)
-            ref = REF_ZERO_BY_Q.get(q) if on_grid else None
-            v = f_of_t(zero.t, k, gamma_ref)
-            rows.append({"q": q, "t_q": zero.t,
-                         "zero_estimate": v, "dev": _dev(v, ref)})
-    return header, rows
+        rows.append({"q": q, "t_q": zero.t, **_cells(gamma, zero, k, refs.get(q))})
+    return ("q", "t_q") + columns, rows

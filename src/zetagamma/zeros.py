@@ -56,9 +56,6 @@ class ZeroCatalog:
     def __len__(self) -> int:
         return len(self.zeros)
 
-    def indices(self) -> tuple[int, ...]:
-        return tuple(z.q for z in self.zeros)
-
 
 # First ten ordinates plus four high-index ones, 13-15 significant digits.
 _EMBEDDED = (
@@ -92,31 +89,36 @@ def load_catalog(path: str | Path) -> ZeroCatalog:
 
     Each non-blank, non-comment line is either a bare ordinate ``t`` (the
     index is the running count of usable lines) or an explicit ``q t``
-    pair, whitespace-separated.  Lines starting with '#' are skipped.
+    pair, whitespace-separated.  Lines starting with '#' are skipped.  A
+    file that cannot be opened or is not UTF-8 is a ``CatalogError``.
     """
     path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CatalogError(f"cannot read {path}: {exc}") from exc
     zeros: list[ZetaZero] = []
     implicit_q = 0
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            try:
-                if len(fields) == 1:
-                    implicit_q += 1
-                    q = implicit_q
-                    t = float(fields[0])
-                elif len(fields) == 2:
-                    q = int(fields[0])
-                    t = float(fields[1])
-                else:
-                    raise ValueError(f"expected 1 or 2 fields, got {len(fields)}")
-                zero = ZetaZero(q, t)
-            except (ValueError, DomainError) as exc:
-                raise CatalogParseError(line_no, f"{exc} in {line!r}") from exc
-            zeros.append(zero)
+    # read_text turns every line ending into "\n".
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        try:
+            if len(fields) == 1:
+                implicit_q += 1
+                q = implicit_q
+                t = float(fields[0])
+            elif len(fields) == 2:
+                q = int(fields[0])
+                t = float(fields[1])
+            else:
+                raise ValueError(f"expected 1 or 2 fields, got {len(fields)}")
+            zero = ZetaZero(q, t)
+        except (ValueError, DomainError) as exc:
+            raise CatalogParseError(line_no, f"{exc} in {line!r}") from exc
+        zeros.append(zero)
     if not zeros:
         raise CatalogError(f"no usable zero lines in {path}")
     zeros.sort(key=lambda z: z.q)

@@ -4,10 +4,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import zetagamma
+from zetagamma import ConsistencyError
 from zetagamma.cli import main
 
 T1_GAMMA_TYPE1_K1E5 = 0.577218164898902
@@ -228,3 +234,49 @@ def test_threads_zero_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert err == "error: worker count must be >= 1\n"
+
+
+def test_bench_consistency_error_exits_1(capsys, monkeypatch):
+    def disagree(t, k_list):
+        raise ConsistencyError("routes disagree")
+
+    monkeypatch.setattr("zetagamma.cli.bench_offdiag", disagree)
+    code, out, err = run_cli(capsys, "bench", "--k", "10")
+    assert code == 1
+    assert out == ""
+    assert err == "error: routes disagree\n"
+
+
+@pytest.mark.parametrize("make", ["missing", "directory", "not_utf8"])
+def test_unreadable_zeros_file_exits_2_without_traceback(tmp_path, make):
+    path = tmp_path / "zeros.txt"
+    if make == "directory":
+        path.mkdir()
+    elif make == "not_utf8":
+        path.write_bytes(b"\xff\xfe14.1\n")
+    src = str(Path(zetagamma.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "zetagamma.cli", "gamma", "--zeros-file",
+         str(path), "--method", "type1", "--q", "1", "--k", "50"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: cannot read {path}: ")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("tables", "--id", "T2", "--q", ""),
+    ("tables", "--id", "T5", "--q", ","),
+    ("bench", "--k", ","),
+    ("bench", "--k", ""),
+])
+def test_empty_integer_list_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected at least one integer" in captured.err

@@ -14,7 +14,9 @@ from zetagamma import (
     chunked_parallel_pair_sum,
     chunked_parallel_sum,
     compensated_sum,
+    get_num_workers,
     partial_zeta,
+    set_num_workers,
 )
 from zetagamma.summation import DEFAULT_CHUNK, MAX_DIRECT_K
 
@@ -125,6 +127,57 @@ def test_workers_start_no_thread():
 def test_workers_validated():
     with pytest.raises(DomainError):
         chunked_parallel_sum(lambda n: 1.0 / n, 100, workers=0)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.5, True, "2", None, float("nan")])
+def test_set_num_workers_rejects_non_positive_integers(bad):
+    before = get_num_workers()
+    with pytest.raises(DomainError, match="^worker count must be"):
+        set_num_workers(bad)
+    assert get_num_workers() == before
+
+
+@pytest.mark.parametrize("bad", [0, 1.5, True, "2"])
+@pytest.mark.parametrize("total", [chunked_parallel_sum,
+                                   chunked_parallel_pair_sum])
+def test_chunked_sums_reject_non_integer_workers(total, bad):
+    with pytest.raises(DomainError, match="^worker count must be"):
+        total(lambda n: (1.0 / n, 1.0 / n), 10, workers=bad)
+
+
+def test_set_num_workers_accepts_numpy_integers():
+    try:
+        set_num_workers(np.int64(3))
+        assert get_num_workers() == 3 and type(get_num_workers()) is int
+    finally:
+        set_num_workers(1)
+
+
+def test_worker_count_never_changes_a_sum_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    t = 14.1347251417347
+
+    def pair(idx):
+        nf = idx.astype(np.float64)
+        arg = t * np.log(nf)
+        w = 1.0 / np.sqrt(nf)
+        return np.cos(arg) * w, np.sin(arg) * w
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(k=st.integers(0, 20_000), chunk=st.integers(1, 5000),
+                      workers=st.integers(1, 64))
+    def check(k, chunk, workers):
+        single = chunked_parallel_sum(lambda n: pair(n)[0], k, chunk=chunk,
+                                      workers=1)
+        assert chunked_parallel_sum(lambda n: pair(n)[0], k, chunk=chunk,
+                                    workers=workers) == single
+        base = chunked_parallel_pair_sum(pair, k, chunk=chunk, workers=1)
+        assert chunked_parallel_pair_sum(pair, k, chunk=chunk,
+                                         workers=workers) == base
+
+    check()
 
 
 def test_pair_sum_matches_two_singles():

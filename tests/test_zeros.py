@@ -64,6 +64,24 @@ def test_load_parse_error_reports_line(tmp_path):
         load_catalog(path)
 
 
+def test_load_line_numbers_follow_every_line_ending(tmp_path):
+    path = tmp_path / "zeros.txt"
+    path.write_bytes(b"14.1\r\n21.0\rabc\n")
+    with pytest.raises(CatalogParseError, match="line 3"):
+        load_catalog(path)
+
+
+@pytest.mark.parametrize("make", ["missing", "directory", "not_utf8"])
+def test_load_unreadable_file_is_catalog_error(tmp_path, make):
+    path = tmp_path / "zeros.txt"
+    if make == "directory":
+        path.mkdir()
+    elif make == "not_utf8":
+        path.write_bytes(b"\xff\xfe14.1\n")
+    with pytest.raises(CatalogError, match=f"^cannot read {path}: "):
+        load_catalog(path)
+
+
 def test_load_non_finite_ordinate_rejected(tmp_path):
     with pytest.raises(DomainError, match="finite"):
         ZetaZero(1, float("inf"))

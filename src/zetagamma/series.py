@@ -1,18 +1,27 @@
 """Truncated series and closed forms tied to zeta zeros on the critical strip.
 
-All functions work in plain binary64 and accumulate through the
-correctly rounded sums in :mod:`zetagamma.summation`.  Every ``n^-s`` sum
-is read off one primitive, ``partial_zeta(sigma, t, k, alternating)``.
+All functions work in plain binary64.  Every ``n^-s`` sum is read off
+one primitive, ``partial_zeta(sigma, t, k, alternating)``, which has two
+routes.  The direct route accumulates every term through the correctly
+rounded chunked sums of :mod:`zetagamma.summation`, up to their cap
+``MAX_DIRECT_K``.  Above the cap, the real, non-alternating sums with
+``sigma > 0`` (the diagonals ``sum n^(-2 sigma)`` and ``H_k``) take an
+Euler-Maclaurin route: a short head (15 terms for ``H_k``) is summed
+directly and the rest is the integral plus Bernoulli corrections, in
+O(1) time.
+
 The two headline results are ``gamma_type1`` and ``gamma_type2``:
 estimates of the Euler-Mascheroni constant built from a single
 non-trivial zeta zero ordinate, one via the alternating (eta-form)
 series, one via the non-alternating truncated series.  Both reduce an
 O(k^2) double sum to O(k) through the squared-trig-sum factorization
-checked against the brute-force oracle ``offdiag_naive``.
+checked against the brute-force oracle ``offdiag_naive``;
+``gamma_estimates`` returns both from one traversal of ``n = 1..k``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -22,6 +31,7 @@ import numpy as np
 
 from .errors import DomainError, OracleCapError
 from .summation import (
+    MAX_DIRECT_K,
     _check_positive_int,
     chunked_parallel_pair_sum,
     chunked_parallel_sum,
@@ -95,6 +105,7 @@ class GammaEstimate:
             raise DomainError("gamma estimate is not finite")
 
 
+@functools.cache
 def _bernoulli_even_rationals(count: int) -> tuple[Fraction, ...]:
     # B_m from sum_{j=0}^{m} C(m+1, j) B_j = 0 (m >= 1), exact rationals.
     n_max = 2 * count
@@ -134,6 +145,24 @@ class BernoulliTable:
 
 _DEFAULT_BERNOULLI = BernoulliTable.default()
 
+#: Euler-Maclaurin coefficients B_2j/(2j)!, j = 1..8, each rounded once
+#: from the exact rationals.
+_EM_COEFFS = tuple(float(b / math.factorial(2 * j)) for j, b in
+                   enumerate(_bernoulli_even_rationals(8), start=1))
+
+#: Largest remainder bound the Euler-Maclaurin route accepts.  Its sums are
+#: at least 1 (the n = 1 term), so this is 1/4096 of an ulp of 1 or less.
+_EM_TOL = 2.0 ** -64
+
+
+def _alternate(idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # e_n w_n, e_n = (-1)^n, in place.  idx is a run of consecutive
+    # integers, so the odd n sit at every second entry.
+    if idx.size:
+        odd = w[1 - int(idx[0]) % 2::2]
+        np.negative(odd, out=odd)
+    return w
+
 
 def _n_pow(idx: np.ndarray, sigma: float,
            alternating: bool = False) -> np.ndarray:
@@ -141,34 +170,133 @@ def _n_pow(idx: np.ndarray, sigma: float,
     # 1/nf), negated at odd n when alternating.
     nf = idx.astype(np.float64)
     w = 1.0 / np.sqrt(nf) if sigma == 0.5 else nf ** -sigma
-    return np.where((idx & 1) == 1, -w, w) if alternating else w
+    return _alternate(idx, w) if alternating else w
+
+
+def _partial_zeta_direct(k: int, parts: tuple[tuple[float, float, bool, int], ...]
+                         ) -> list[complex]:
+    # S(sigma + it, last) with e_n = (-1)^n or 1 for each
+    # (sigma, t, alternating, last) in parts, last <= k, from one traversal
+    # of n = 1..k: n^-sigma, log, cos and sin are evaluated once per n and
+    # per distinct sigma or t, and the terms with n > last are zeroed.  At
+    # t == 0 only the real part is summed.
+    def columns(idx: np.ndarray) -> tuple[np.ndarray, ...]:
+        powers: dict[float, np.ndarray] = {}
+        trig: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        out = []
+        for sigma, t, alternating, last in parts:
+            if sigma not in powers:
+                powers[sigma] = _n_pow(idx, sigma)
+            v = powers[sigma].copy() if len(parts) > 1 else powers[sigma]
+            if alternating:
+                _alternate(idx, v)
+            if last < k and idx[-1] > last:
+                v[idx > last] = 0.0
+            if t == 0.0:
+                out.append(v)
+                continue
+            if t not in trig:
+                arg = t * np.log(idx.astype(np.float64))
+                trig[t] = np.cos(arg), -np.sin(arg)
+            cos, msin = trig[t]
+            out += [cos * v, msin * v]
+        return tuple(out)
+
+    totals = iter(chunked_parallel_pair_sum(columns, k))
+    return [complex(next(totals), 0.0 if t == 0.0 else next(totals))
+            for _, t, _, _ in parts]
+
+
+def _em_tail(s: float | complex, x: float, order: int) -> float | complex:
+    # Euler-Maclaurin corrections of sum_{n >= x} n^-s minus the integral
+    # of x^-s from x on: x^-s/2, then B_2j/(2j)! (s)_{2j-1} x^(1-s-2j) for
+    # j = 1..order-1; order 0 keeps nothing.
+    if order == 0:
+        return 0.0
+    acc = 0.5
+    rise = s / x  # (s)_{2j-1} x^(1-2j)
+    for j in range(1, order):
+        acc += _EM_COEFFS[j - 1] * rise
+        rise *= (s + (2 * j - 1)) * (s + 2 * j) / (x * x)
+    return x ** -s * acc
+
+
+@functools.cache
+def _em_plan(sigma: float) -> tuple[int, int]:
+    # (head N0, Bernoulli terms m) for sum n^-sigma, sigma > 0.  For
+    # n >= N = N0 + 1 the remainder after m terms is at most
+    # |B_2m|/(2m)! times the integral of |f^(2m)| from N on, f = x^-sigma;
+    # f^(2m) > 0, so that is |f^(2m-1)(N)| = (sigma)_{2m-1} N^(1-sigma-2m).
+    # N0 is the smallest head any m <= 8 allows within _EM_TOL, and m the
+    # fewest terms that do at it.
+    first = []
+    for m, c in enumerate(_EM_COEFFS, start=1):
+        log_scale = (math.log(abs(c) / _EM_TOL)
+                     + math.lgamma(sigma + 2 * m - 1) - math.lgamma(sigma))
+        first.append(max(2, math.ceil(math.exp(log_scale / (sigma + 2 * m - 1)))))
+    n = min(first)
+    return n - 1, 1 + next(i for i, f in enumerate(first) if f <= n)
+
+
+def _partial_zeta_em(sigma: float, k: int) -> float:
+    # sum_{n<=k} n^-sigma, sigma > 0, k past the head of _em_plan(sigma):
+    # the head directly, then the segment n = head+1..k as (tail from
+    # head+1) - (tail from k+1) plus the integral of x^-sigma between them,
+    # (end^u - n^u)/u with u = 1 - sigma.
+    # Where |u log(end/n)| < 1 that difference cancels, so it is taken as
+    # n^u expm1(u log(end/n))/u, which is exactly log(end/n) at sigma = 1.
+    # Above 1, exp (and x^u) would scale the rounding of the argument (of u)
+    # by the argument, so the powers are taken as x x^-sigma instead.
+    head, terms = _em_plan(sigma)
+    n = head + 1
+    try:
+        end = float(k + 1)
+    except OverflowError:
+        raise DomainError(f"k={k} exceeds binary64") from None
+    u = 1.0 - sigma
+    log_ratio = math.log(end / n)
+    if abs(u * log_ratio) >= 1.0:
+        integral = (end * end ** -sigma - n * n ** -sigma) / u
+    elif u == 0.0:
+        integral = log_ratio
+    else:
+        integral = n ** u * math.expm1(u * log_ratio) / u
+    (head_sum,) = _partial_zeta_direct(head, ((sigma, 0.0, False, head),))
+    return compensated_sum((head_sum.real, integral,
+                            _em_tail(sigma, n, terms + 1),
+                            -_em_tail(sigma, end, terms + 1)))
 
 
 def partial_zeta(sigma: float, t: float, k: int,
                  alternating: bool = False) -> complex:
-    """S(s, k) = sum_{n=1..k} e_n n^-s at s = sigma + it, in one traversal.
+    """S(s, k) = sum_{n=1..k} e_n n^-s at s = sigma + it.
 
     ``e_n = (-1)^n`` when ``alternating``, else 1.  The real part sums
     ``e_n cos(t log n)/n^sigma`` and the imaginary part
     ``-e_n sin(t log n)/n^sigma``.  At ``t == 0`` only the real part is
     summed and the imaginary part is ``0.0``.
+
+    Up to ``k = summation.MAX_DIRECT_K`` every sum is direct, in one
+    traversal of ``n = 1..k``.  Above it, sums with ``t == 0``,
+    ``sigma > 0`` and no alternation take the Euler-Maclaurin route: a short
+    head (15 terms for H_k) directly, then the integral, the endpoint halves
+    and up to eight Bernoulli terms, with the remainder bounded by 2^-64;
+    every other sum refuses such a ``k``.  A non-finite ``sigma`` is a
+    ``DomainError``.
     """
     k = _check_positive_int(k, "k", minimum=0)
-    if t == 0.0:
-        return complex(chunked_parallel_sum(
-            lambda idx: _n_pow(idx, sigma, alternating), k), 0.0)
-
-    def pair(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w = _n_pow(idx, sigma, alternating)
-        arg = t * np.log(idx.astype(np.float64))
-        return np.cos(arg) * w, -np.sin(arg) * w
-
-    re, im = chunked_parallel_pair_sum(pair, k)
-    return complex(re, im)
+    if not math.isfinite(sigma):
+        raise DomainError("sigma must be finite")
+    if k > MAX_DIRECT_K and t == 0.0 and not alternating and sigma > 0.0:
+        return complex(_partial_zeta_em(sigma, k), 0.0)
+    (z,) = _partial_zeta_direct(k, ((sigma, t, alternating, k),))
+    return z
 
 
 def harmonic_partial_sum(k: int) -> float:
-    """H_k = sum of 1/n for n = 1..k, compensated."""
+    """H_k = sum of 1/n for n = 1..k (``partial_zeta(1, 0, k)``): a
+    correctly rounded chunked sum up to ``summation.MAX_DIRECT_K`` terms,
+    Euler-Maclaurin above."""
     k = _check_positive_int(k, "k")
     return partial_zeta(1.0, 0.0, k).real
 
@@ -275,9 +403,7 @@ def offdiag_naive(params: SeriesParams, alternating: bool,
     """
     k = params.k
     if k > cap:
-        raise OracleCapError(
-            f"k={k} exceeds the brute-force cap {cap} "
-            "(pass cap= explicitly to override)")
+        raise OracleCapError(f"k={k} exceeds the brute-force cap {cap}")
     if k < 2:
         return 0.0
     t = params.t
@@ -308,9 +434,31 @@ def offdiag_factorized(params: SeriesParams, alternating: bool) -> float:
     off-diagonal part is recovered by subtracting the diagonal.  Equals
     ``offdiag_naive`` at every finite k up to rounding.
     """
-    ts = trig_sums(params, alternating)
-    diag = partial_zeta(2.0 * params.sigma, 0.0, params.k).real
-    return ts.cos_sum * ts.cos_sum + ts.sin_sum * ts.sin_sum - diag
+    z = partial_zeta(params.sigma, params.t, params.k, alternating)
+    return _offdiag(z, partial_zeta(2.0 * params.sigma, 0.0, params.k))
+
+
+def _offdiag(z: complex, diag: complex) -> float:
+    # |S(s, k)|^2 minus its diagonal sum_{n<=k} n^(-2 sigma).
+    return z.real * z.real + z.imag * z.imag - diag.real
+
+
+def _gamma_params(t_q: float, k: int) -> SeriesParams:
+    k = _check_positive_int(k, "k", minimum=2)
+    if not (t_q > 0.0):
+        raise DomainError("t_q must be positive")
+    return SeriesParams(0.5, t_q, k)
+
+
+def _type1(off: float, p: SeriesParams, q: int | None) -> GammaEstimate:
+    return GammaEstimate(value=-off - math.log(p.k),
+                         method=GammaMethod.ALT_TYPE1, q=q, t_q=p.t, k=p.k)
+
+
+def _type2(off: float, p: SeriesParams, q: int | None) -> GammaEstimate:
+    value = p.k / (0.25 + p.t * p.t) - off - math.log(p.k - 1)
+    return GammaEstimate(value=value, method=GammaMethod.NONALT_TYPE2,
+                         q=q, t_q=p.t, k=p.k)
 
 
 def gamma_type1(t_q: float, k: int, q: int | None = None) -> GammaEstimate:
@@ -320,12 +468,8 @@ def gamma_type1(t_q: float, k: int, q: int | None = None) -> GammaEstimate:
     the sign absorption turns the cancellation of the alternating double
     sum against H_k into a direct gamma estimate.
     """
-    k = _check_positive_int(k, "k", minimum=2)
-    if not (t_q > 0.0):
-        raise DomainError("t_q must be positive")
-    off = offdiag_factorized(SeriesParams(0.5, t_q, k), alternating=True)
-    return GammaEstimate(value=-off - math.log(k),
-                         method=GammaMethod.ALT_TYPE1, q=q, t_q=t_q, k=k)
+    p = _gamma_params(t_q, k)
+    return _type1(offdiag_factorized(p, alternating=True), p, q)
 
 
 def gamma_type2(t_q: float, k: int, q: int | None = None) -> GammaEstimate:
@@ -336,13 +480,27 @@ def gamma_type2(t_q: float, k: int, q: int | None = None) -> GammaEstimate:
     matching the bundled reference tables; the reindexed variant that sums
     to k with leading term (k+1) is the same quantity evaluated at k+1.
     """
-    k = _check_positive_int(k, "k", minimum=2)
-    if not (t_q > 0.0):
-        raise DomainError("t_q must be positive")
-    off = offdiag_factorized(SeriesParams(0.5, t_q, k - 1), alternating=False)
-    value = k / (0.25 + t_q * t_q) - off - math.log(k - 1)
-    return GammaEstimate(value=value, method=GammaMethod.NONALT_TYPE2,
-                         q=q, t_q=t_q, k=k)
+    p = _gamma_params(t_q, k)
+    off = offdiag_factorized(SeriesParams(0.5, t_q, p.k - 1), alternating=False)
+    return _type2(off, p, q)
+
+
+def gamma_estimates(t_q: float, k: int, q: int | None = None
+                    ) -> tuple[GammaEstimate, GammaEstimate]:
+    """``(gamma_type1(t_q, k, q), gamma_type2(t_q, k, q))``, bit for bit,
+    from one traversal of n = 1..k.
+
+    The traversal yields the alternating sum at k, the plain sum at k-1
+    and the diagonals H_k and H_(k-1) (the n = k term zeroed in the sums
+    at k-1) from one evaluation of n^-1/2, log, cos and sin per n; each
+    column keeps its own correctly rounded reduction.
+    """
+    p = _gamma_params(t_q, k)
+    alt, plain, diag, diag_prev = _partial_zeta_direct(p.k, (
+        (0.5, p.t, True, p.k), (0.5, p.t, False, p.k - 1),
+        (1.0, 0.0, False, p.k), (1.0, 0.0, False, p.k - 1)))
+    return (_type1(_offdiag(alt, diag), p, q),
+            _type2(_offdiag(plain, diag_prev), p, q))
 
 
 class EulerMaclaurinOrder(IntEnum):
@@ -358,7 +516,8 @@ def zeta_em(s_sigma: float, s_t: float, k: int,
     """Euler-Maclaurin continuation of the zeta series, valid for Re(s) > 0.
 
     Returns ``sum_{n=1..k-1} n^(-s) - k^(1-s)/(1-s)`` plus the corrections
-    selected by ``order``, as a complex value.
+    selected by ``order`` (the tail corrections of ``partial_zeta``'s
+    Euler-Maclaurin route, taken at k), as a complex value.
     """
     k = _check_positive_int(k, "k", minimum=2)
     if s_sigma == 1.0 and s_t == 0.0:
@@ -367,11 +526,7 @@ def zeta_em(s_sigma: float, s_t: float, k: int,
     t = float(s_t)
     s = complex(sigma, t)
     z = partial_zeta(sigma, t, k - 1) - k ** (1.0 - s) / (1.0 - s)
-    if order >= EulerMaclaurinOrder.HALF_TERM:
-        z += 0.5 * k ** (-s)
-    if order >= EulerMaclaurinOrder.B2_TERM:
-        z += s * k ** (-s - 1.0) / 12.0  # B_2 / 2 = 1/12
-    return z
+    return z + _em_tail(s, k, order)
 
 
 def em_rhs(t_q: float, k: int) -> tuple[float, float]:

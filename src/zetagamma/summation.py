@@ -11,8 +11,10 @@ exactly rounded total of its binary64 inputs.
 * ``chunked_parallel_sum`` / ``chunked_parallel_pair_sum`` - the index
   range ``1..k`` is cut into fixed chunks, each chunk's terms are computed
   in one vectorized call and summed, and the chunk totals are summed in
-  ascending chunk order.  Sums run on one thread; the ``workers`` count is
-  validated and accepted, but results never depend on it.
+  ascending chunk order.  The second sums several columns of terms from
+  one traversal and returns one total per column.  Sums run on one
+  thread; the ``workers`` count is validated and accepted, but results
+  never depend on it.
 
 A chunk is not handed to ``fsum`` term by term.  It is first reduced
 exactly in numpy by the error-free extraction of Rump, Ogita and Oishi
@@ -33,7 +35,9 @@ A chunked total is the correctly rounded sum of correctly rounded chunk
 totals, so it can differ from a flat ``compensated_sum`` of the same terms
 in the last place; determinism for a fixed chunking is the contract.
 Every sum raises ``DomainError`` on a non-finite term or a total that
-overflows binary64.  The chunked sums take at most ``MAX_DIRECT_K`` terms.
+overflows binary64.  The chunked sums take at most ``MAX_DIRECT_K`` terms;
+above that, ``series.partial_zeta`` answers the real diagonal sums by an
+Euler-Maclaurin route that sums only a short head here.
 """
 
 from __future__ import annotations
@@ -51,7 +55,8 @@ DEFAULT_CHUNK = 4096
 
 #: Largest index range the chunked sums accept.  Every term is computed,
 #: so the runtime grows linearly in k: one gamma estimate takes 7 s at
-#: k = 1e8 on 2 vCPUs, so over a minute at this cap.
+#: k = 1e8 on 2 vCPUs, so over a minute at this cap.  The real diagonal
+#: sums of ``series.partial_zeta`` above it take an Euler-Maclaurin route.
 MAX_DIRECT_K = 10**9
 
 _num_workers = 1
@@ -123,19 +128,22 @@ def _chunk_total(terms: np.ndarray) -> float:
 
 
 def _chunked_fsum(block_fn: Callable[[np.ndarray], tuple[np.ndarray, ...]],
-                  width: int, k: int, chunk: int,
-                  workers: int | None) -> tuple[float, ...]:
-    # ``block_fn`` maps one chunk's indices to ``width`` term arrays.
+                  k: int, chunk: int, workers: int | None) -> tuple[float, ...]:
+    # ``block_fn`` maps one chunk's indices to a tuple of term arrays, one
+    # per column.  At k = 0 no chunk runs and the result is ().
     k = _check_positive_int(k, "k", minimum=0)
     chunk = _check_positive_int(chunk, "chunk size")
     if k > MAX_DIRECT_K:
         raise DomainError(f"k={k} exceeds the direct-sum cap {MAX_DIRECT_K}")
     if workers is not None:
         _check_positive_int(workers, "worker count")
-    totals: list[list[float]] = [[] for _ in range(width)]
+    totals: list[list[float]] = []
     for lo in range(1, k + 1, chunk):
         idx = np.arange(lo, min(lo + chunk, k + 1), dtype=np.int64)
-        for column, terms in zip(totals, block_fn(idx)):
+        columns = block_fn(idx)
+        if not totals:
+            totals = [[] for _ in columns]
+        for column, terms in zip(totals, columns):
             column.append(_chunk_total(terms))
     return tuple(_fsum(column) for column in totals)
 
@@ -151,20 +159,24 @@ def chunked_parallel_sum(term_fn: Callable[[np.ndarray], np.ndarray],
     and the chunk totals are combined in ascending order.  ``workers`` is
     validated but does not change the result or the thread count.
     """
-    (total,) = _chunked_fsum(lambda idx: (term_fn(idx),), 1, k, chunk, workers)
-    return total
+    totals = _chunked_fsum(lambda idx: (term_fn(idx),), k, chunk, workers)
+    return totals[0] if totals else 0.0
 
 
 def chunked_parallel_pair_sum(pair_fn: Callable[[np.ndarray],
-                                                tuple[np.ndarray, np.ndarray]],
+                                                tuple[np.ndarray, ...]],
                               k: int,
                               chunk: int = DEFAULT_CHUNK,
-                              workers: int | None = None) -> tuple[float, float]:
-    """Two sums sharing one traversal of ``1..k``.
+                              workers: int | None = None) -> tuple[float, ...]:
+    """Several sums sharing one traversal of ``1..k``, one total per column.
 
-    ``pair_fn`` maps an int64 index array to two term arrays that reuse
-    common work (one log per index, typically).  Chunking and combine
-    order follow ``chunked_parallel_sum`` exactly, component-wise.
+    ``pair_fn`` maps an int64 index array to a tuple of term arrays (two
+    for a cosine/sine pair) that reuse common work (one log per index,
+    typically).  Chunking and combine order follow ``chunked_parallel_sum``
+    exactly, column by column, so each total is bit-identical to a
+    ``chunked_parallel_sum`` of that column alone.  At ``k = 0`` no chunk
+    runs, so ``pair_fn`` is called once on an empty index array to learn
+    the column count, and every total is 0.0.
     """
-    a, b = _chunked_fsum(pair_fn, 2, k, chunk, workers)
-    return a, b
+    totals = _chunked_fsum(pair_fn, k, chunk, workers)
+    return totals or (0.0,) * len(pair_fn(np.arange(1, 1, dtype=np.int64)))

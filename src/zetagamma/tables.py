@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .fixedpoint import f_of_t
-from .series import gamma_type1, gamma_type2
+from .series import gamma_estimates
 from .zeros import ZeroCatalog, ZetaZero, builtin_catalog, get_zero
 
 TABLE_IDS = ("T1", "T2", "T3", "T4", "T5", "T6")
@@ -112,8 +112,7 @@ def _cells(gamma: bool, zero: ZetaZero, k: int,
     if not gamma:
         v = f_of_t(zero.t, k)
         return {"zero_estimate": v, "dev": _dev(v, ref)}
-    g1 = gamma_type1(zero.t, k, q=zero.q).value
-    g2 = gamma_type2(zero.t, k, q=zero.q).value
+    g1, g2 = (g.value for g in gamma_estimates(zero.t, k, q=zero.q))
     ref1, ref2 = (None, None) if ref is None else ref
     return {"gamma_type1": g1, "gamma_type2": g2,
             "dev_type1": _dev(g1, ref1), "dev_type2": _dev(g2, ref2)}

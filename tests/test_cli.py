@@ -216,6 +216,13 @@ def test_bench_csv_and_cap(capsys):
     assert "cap" in err
 
 
+def test_bench_cap_error_names_no_cli_option(capsys):
+    code, out, err = run_cli(capsys, "bench", "--k", "100000", "--q", "1")
+    assert code == 3
+    assert out == ""
+    assert err == "error: k=100000 exceeds the brute-force cap 50000\n"
+
+
 def test_threads_flag_does_not_change_output(capsys):
     _, base, _ = run_cli(capsys, "gamma", "--method", "type1",
                          "--q", "3", "--k", "20000")

@@ -9,10 +9,12 @@ from zetagamma import (
     DomainError,
     GammaMethod,
     SeriesParams,
+    builtin_catalog,
     gamma_type1,
     gamma_type2,
     offdiag_naive,
 )
+from zetagamma.series import gamma_estimates
 
 T1 = 14.1347251417347
 
@@ -59,3 +61,26 @@ def test_gamma_preconditions():
         gamma_type1(-3.0, 100)
     with pytest.raises(DomainError):
         gamma_type2(0.0, 100)
+
+
+def _zero_t(q):
+    return next(z.t for z in builtin_catalog().zeros if z.q == q)
+
+
+# k on both sides of the 4096-term chunk boundaries; t from the first, the
+# 100th and the 100000th zero (t ~ 7.5e4 > k).
+@pytest.mark.parametrize("q", [1, 100, 100_000])
+@pytest.mark.parametrize("k", [2, 3, 4096, 4097, 4098, 8193])
+def test_gamma_estimates_bit_identical_to_lone_calls(k, q):
+    t = _zero_t(q)
+    pair = gamma_estimates(t, k, q=q)
+    lone = (gamma_type1(t, k, q=q), gamma_type2(t, k, q=q))
+    assert [e.value.hex() for e in pair] == [e.value.hex() for e in lone]
+    assert pair == lone
+
+
+def test_gamma_estimates_validates_like_lone_calls():
+    for bad in [(T1, 1), (0.0, 10), (-T1, 10), (math.inf, 10), (T1, 10.0),
+                (T1, True)]:
+        with pytest.raises(DomainError):
+            gamma_estimates(*bad)

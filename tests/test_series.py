@@ -3,12 +3,14 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from zetagamma import series as series_module
+from zetagamma.summation import MAX_DIRECT_K, chunked_parallel_sum
 from zetagamma import (
     EULER_GAMMA,
     BernoulliTable,
@@ -219,6 +221,102 @@ def test_partial_zeta_empty_and_non_finite():
     assert partial_zeta(0.5, 3.0, 0) == 0j
     with pytest.raises(DomainError):
         partial_zeta(0.5, math.nan, 10)
+
+
+def test_n_pow_alternates_from_any_start():
+    idx = np.arange(4, 10)
+    expected = [(-1.0) ** n / math.sqrt(n) for n in range(4, 10)]
+    assert series_module._n_pow(idx, 0.5, alternating=True).tolist() == expected
+    assert series_module._n_pow(idx[:0], 0.5, alternating=True).size == 0
+
+
+# ---------------------- Euler-Maclaurin route of partial zeta ----------------
+
+EM_EXPONENTS = [0.1, 0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-7, 1.5, 1.9, 2.0]
+
+
+@pytest.mark.parametrize("a", EM_EXPONENTS)
+def test_em_route_matches_mpmath(a):
+    # sum_{n<=k} n^-a at 40 digits: H_k, or zeta(a) - zeta(a, k+1), from
+    # the first k past the head to 1e12.  partial_zeta takes the route only
+    # above the direct cap; below it the route is called by itself.
+    mpmath = pytest.importorskip("mpmath")
+    head = series_module._em_plan(a)[0]
+    for k in (head + 1, head + 2, 100, 4097, 10**5, 10**6, 10**9, 10**12):
+        with mpmath.workdps(40):
+            ref = float(mpmath.harmonic(k) if a == 1.0 else
+                        mpmath.zeta(a) - mpmath.zeta(a, k + 1))
+        got = series_module._partial_zeta_em(a, k)
+        assert abs(got - ref) <= 1e-15 * ref, (a, k)
+    assert partial_zeta(a, 0.0, 10**12) == complex(got, 0.0)
+
+
+def test_em_route_equals_direct_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(a=st.one_of(st.sampled_from(EM_EXPONENTS),
+                                  st.floats(0.01, 3.0)),
+                      k=st.integers(1, 300_000))
+    def check(a, k):
+        k = max(k, series_module._em_plan(a)[0] + 1)
+        direct = chunked_parallel_sum(
+            lambda idx: idx.astype(np.float64) ** -a, k)
+        em = series_module._partial_zeta_em(a, k)
+        assert abs(em - direct) <= 1e-15 * direct
+
+    check()
+
+
+def test_em_plan_bound_holds_at_the_head():
+    # The remainder bound |B_2m|/(2m)! (a)_{2m-1} N^(1-a-2m) at the first
+    # index N past the head, as exact rationals for a = 1 and a = 2.
+    for a in (1, 2):
+        head, m = series_module._em_plan(float(a))
+        b2m = series_module._bernoulli_even_rationals(m)[-1]
+        rise = math.prod(range(a, a + 2 * m - 1))
+        bound = abs(b2m) / math.factorial(2 * m) * rise \
+            * Fraction(1, (head + 1) ** (a + 2 * m - 1))
+        assert bound <= Fraction(2) ** -64
+        assert 2 <= head + 1 <= 32 and 1 <= m <= 8
+
+
+@pytest.mark.parametrize("k", [MAX_DIRECT_K + 1, 10**12])
+def test_em_route_lifts_the_direct_cap(k):
+    start = time.perf_counter()
+    h = harmonic_partial_sum(k)
+    g = stieltjes_estimate(0, k)
+    assert time.perf_counter() - start < 0.1
+    assert abs(h - (math.log(k) + EULER_GAMMA + 0.5 / k)) <= 1e-13
+    assert abs(g - (EULER_GAMMA + 0.5 / k)) <= 1e-13
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("k", [1, 16, 4097, 100_000])
+def test_diagonal_is_direct_below_the_cap(a, k):
+    # Below MAX_DIRECT_K every term is summed: bit for bit the chunked sum
+    # of the terms n ** -a.
+    direct = chunked_parallel_sum(lambda idx: idx.astype(np.float64) ** -a, k)
+    assert partial_zeta(a, 0.0, k).real.hex() == direct.hex()
+
+
+@pytest.mark.parametrize("sigma, alternating", [
+    (1.0, True), (0.0, False), (-0.5, False)])
+def test_alternating_and_non_positive_sigma_keep_the_cap(sigma, alternating):
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="cap"):
+        partial_zeta(sigma, 0.0, MAX_DIRECT_K + 1, alternating)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("sigma, k", [
+    (math.inf, 10), (math.nan, 10), (-math.inf, 10), (math.inf, 10**12),
+    (1.0, True), (1.0, 1e12), (1.0, 10**400)])
+def test_em_route_typed_errors(sigma, k):
+    with pytest.raises(DomainError):
+        partial_zeta(sigma, 0.0, k)
 
 
 # -------------------------------- c^2 -------------------------------------

@@ -196,6 +196,34 @@ def test_pair_sum_matches_two_singles():
     assert a == a1 and b == b1
 
 
+@pytest.mark.parametrize("k", [0, 1, 4096, 4097, 10_000])
+def test_pair_sum_returns_one_total_per_column(k):
+    def columns(idx):
+        nf = idx.astype(np.float64)
+        return 1.0 / nf, np.sqrt(nf), -nf, np.cos(nf)
+
+    totals = chunked_parallel_pair_sum(columns, k)
+    assert len(totals) == 4
+    for i, total in enumerate(totals):
+        single = chunked_parallel_sum(lambda n: columns(n)[i], k)
+        assert total.hex() == single.hex()
+
+
+def test_sums_at_k_zero_call_no_term_function_on_indices():
+    def single(idx):
+        raise AssertionError("term_fn called at k = 0")
+
+    seen = []
+
+    def columns(idx):
+        seen.append(idx.size)
+        return idx * 1.0, idx * 2.0, idx * 3.0
+
+    assert chunked_parallel_sum(single, 0) == 0.0
+    assert chunked_parallel_pair_sum(columns, 0) == (0.0, 0.0, 0.0)
+    assert seen == [0]
+
+
 def test_pair_sum_bit_identical_across_workers():
     t = 21.0220396387716
 

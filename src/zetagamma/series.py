@@ -10,6 +10,18 @@ Euler-Maclaurin route: a short head (15 terms for ``H_k``) is summed
 directly and the rest is the integral plus Bernoulli corrections, in
 O(1) time.
 
+Every Dirichlet term's trig factors come from one kernel, ``_cos_msin``:
+with ``u = tan(x/2)`` at ``x = t log n``, ``cos x = (1 - u^2)/(1 + u^2)``
+and ``-sin x = -2u/(1 + u^2)``.  numpy evaluates float64 ``tan`` with SIMD
+instructions where its ``cos`` and ``sin`` take the scalar libm path, so
+one tangent costs about a third of the pair.  Against cos and sin of the
+rounded ``x`` the kernel is off by at most 2.25 * 2^-53 (cos) and
+1.98 * 2^-53 (sin) in absolute terms, measured against extended precision
+on 1.1e7 arguments in [0, 1e9); a correctly rounded cos is off by 0.5 *
+2^-53, and the rounding of ``x`` itself puts about ``|x| 2^-53`` into every
+term.  Only the brute-force oracle ``offdiag_naive`` keeps ``np.cos``, so
+that it stays independent of the kernel.
+
 The two headline results are ``gamma_type1`` and ``gamma_type2``:
 estimates of the Euler-Mascheroni constant built from a single
 non-trivial zeta zero ordinate, one via the alternating (eta-form)
@@ -173,13 +185,32 @@ def _n_pow(idx: np.ndarray, sigma: float,
     return _alternate(idx, w) if alternating else w
 
 
+def _cos_msin(t: float, log_n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # cos(x) and -sin(x) at x = t log n, from u = tan(x/2) (see the module
+    # docstring for the cost and the error bound).  x is rounded once, as a
+    # direct cos(t log n) would round it, and halved exactly, so it
+    # overflows at the same t and n.  A non-finite x gives nan without a
+    # numpy warning; the chunked sum rejects it with DomainError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = t * log_n
+        u *= 0.5
+        np.tan(u, out=u)
+        cos = u * u
+        den = cos + 1.0
+        np.subtract(1.0, cos, out=cos)
+        cos /= den
+        u *= -2.0
+        u /= den
+    return cos, u
+
+
 def _partial_zeta_direct(k: int, parts: tuple[tuple[float, float, bool, int], ...]
                          ) -> list[complex]:
     # S(sigma + it, last) with e_n = (-1)^n or 1 for each
     # (sigma, t, alternating, last) in parts, last <= k, from one traversal
-    # of n = 1..k: n^-sigma, log, cos and sin are evaluated once per n and
-    # per distinct sigma or t, and the terms with n > last are zeroed.  At
-    # t == 0 only the real part is summed.
+    # of n = 1..k: n^-sigma, log and the trig factors (_cos_msin) are
+    # evaluated once per n and per distinct sigma or t, and the terms with
+    # n > last are zeroed.  At t == 0 only the real part is summed.
     def columns(idx: np.ndarray) -> tuple[np.ndarray, ...]:
         powers: dict[float, np.ndarray] = {}
         trig: dict[float, tuple[np.ndarray, np.ndarray]] = {}
@@ -196,8 +227,7 @@ def _partial_zeta_direct(k: int, parts: tuple[tuple[float, float, bool, int], ..
                 out.append(v)
                 continue
             if t not in trig:
-                arg = t * np.log(idx.astype(np.float64))
-                trig[t] = np.cos(arg), -np.sin(arg)
+                trig[t] = _cos_msin(t, np.log(idx.astype(np.float64)))
             cos, msin = trig[t]
             out += [cos * v, msin * v]
         return tuple(out)

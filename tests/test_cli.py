@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 import zetagamma
-from zetagamma import ConsistencyError
-from zetagamma.cli import main
+from zetagamma import ConsistencyError, FixedPointStatus, FixedPointTrace
+from zetagamma.cli import RUNTIME_WARN_K, main
 
 T1_GAMMA_TYPE1_K1E5 = 0.577218164898902
 T1_GAMMA_TYPE2_K10 = 0.624430642787654
@@ -115,6 +115,38 @@ def test_zero_iterate_non_finite_y0_exits_3(capsys):
                            "--y0", "inf", "--k", "1000", "--iters", "5")
     assert code == 3
     assert "y0" in err
+
+
+@pytest.mark.parametrize("k", [RUNTIME_WARN_K - 1, RUNTIME_WARN_K])
+def test_zero_iterate_warns_from_runtime_warn_k(capsys, monkeypatch, k):
+    def one_iterate(map_, y0, k, iters, tol):
+        return FixedPointTrace(iterates=(y0,), k=k,
+                               status=FixedPointStatus.MAX_ITERS,
+                               final_residual=None, map=map_, tol=tol)
+
+    monkeypatch.setattr("zetagamma.cli.iterate_fixed_point", one_iterate)
+    code, _, err = run_cli(capsys, "zero-iterate", "--map", "g",
+                           "--y0", "14.2", "--k", str(k), "--iters", "1")
+    assert code == 0
+    assert err.startswith("warning: ") == (k >= RUNTIME_WARN_K)
+
+
+@pytest.mark.parametrize("map_name, message", [
+    ("g", "error: t log k = inf is not finite at t=1e+308, k=100\n"),
+    ("f", "error: non-finite term in summation input\n"),
+])
+def test_zero_iterate_phase_overflow_exits_3_with_one_line(map_name, message):
+    # t log n overflows binary64: a typed error, with no traceback and no
+    # numpy warning on stderr.
+    src = str(Path(zetagamma.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "zetagamma.cli", "zero-iterate", "--map",
+         map_name, "--y0", "1e308", "--k", "100", "--iters", "2"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == message
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1"])

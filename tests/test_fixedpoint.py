@@ -65,6 +65,16 @@ def test_g_residual_shrinks_from_coarse_to_fine():
         assert fine < 0.1
 
 
+def test_g_map_iterates_at_one_million():
+    # The first three iterates from 14.2 at k = 1e6, computed with math.fsum
+    # over math.cos terms (benchmark/workloads.py, G_ITERATES).
+    trace = iterate_fixed_point(FixedPointMap.G_MAP, 14.2, 10**6, 3, 0.0)
+    expected = (14.198621169951432, 14.197263681284214, 14.19592709869613)
+    assert len(trace.iterates) == 4
+    for got, want in zip(trace.iterates[1:], expected):
+        assert abs(got - want) <= 1e-12
+
+
 def test_g_singular_guard():
     k = 1000
     with pytest.raises(SingularGuardError):
@@ -140,8 +150,11 @@ def test_iterate_rejects_bad_tol_and_max_iters(max_iters, tol):
 @pytest.mark.parametrize("call", [
     lambda: f_of_t(math.inf, 100),
     lambda: g_of_t(math.inf, 100),
+    lambda: g_of_t(1e308, 100),
+    lambda: f_of_t(1e308, 100),
     lambda: iterate_fixed_point(FixedPointMap.G_MAP, math.inf, 100, 5, 1e-12),
-], ids=["f_of_t", "g_of_t", "iterate_fixed_point"])
+], ids=["f_of_t", "g_of_t", "g_of_t_phase_overflow", "f_of_t_phase_overflow",
+        "iterate_fixed_point"])
 def test_non_finite_ordinate_rejected(call):
     with pytest.raises(DomainError, match="finite"):
         call()

@@ -1,4 +1,5 @@
-"""Static checks on the package sources: no dead imports, no dead private code."""
+"""Static checks on the package sources: no dead imports, no dead private code,
+and numpy cos/sin only in the brute-force oracle."""
 
 import ast
 from pathlib import Path
@@ -67,3 +68,43 @@ def test_no_unreferenced_private_functions_or_classes():
             and node.name.startswith("_") and not node.name.startswith("__")
             and node.name not in referenced]
     assert not dead, f"unreferenced private definitions: {dead}"
+
+
+def _numpy_trig_outside_oracle(tree: ast.Module) -> list[int]:
+    # Lines that reach numpy's cos or sin (np.cos, numpy.sin, or a name
+    # imported from numpy) outside offdiag_naive.  Every other trig factor
+    # comes from series._cos_msin, the one half-angle kernel.
+    allowed = {id(node)
+               for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and fn.name == "offdiag_naive"
+               for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if (isinstance(node, ast.Attribute) and node.attr in ("cos", "sin")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")):
+            found.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "numpy"
+              and any(alias.name in ("cos", "sin") for alias in node.names)):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_numpy_cos_sin_only_in_the_oracle(module):
+    lines = _numpy_trig_outside_oracle(TREES[module])
+    assert not lines, f"{module}: np.cos/np.sin outside offdiag_naive at {lines}"
+
+
+def test_numpy_trig_check_flags_calls_outside_the_oracle():
+    source = (
+        "import numpy as np\n"
+        "from numpy import sin\n"
+        "def offdiag_naive(x):\n"
+        "    return np.cos(x) + np.sin(x)\n"
+        "def other(x):\n"
+        "    f = np.cos\n"
+        "    return np.sin(x) + f(x) + np.tan(x)\n")
+    assert _numpy_trig_outside_oracle(ast.parse(source)) == [2, 6, 7]

@@ -4,13 +4,18 @@ import itertools
 import math
 import random
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from zetagamma import series as series_module
-from zetagamma.summation import MAX_DIRECT_K, chunked_parallel_sum
+from zetagamma.summation import (
+    MAX_DIRECT_K,
+    chunked_parallel_pair_sum,
+    chunked_parallel_sum,
+)
 from zetagamma import (
     EULER_GAMMA,
     BernoulliTable,
@@ -228,6 +233,53 @@ def test_n_pow_alternates_from_any_start():
     expected = [(-1.0) ** n / math.sqrt(n) for n in range(4, 10)]
     assert series_module._n_pow(idx, 0.5, alternating=True).tolist() == expected
     assert series_module._n_pow(idx[:0], 0.5, alternating=True).size == 0
+
+
+# ------------------ trig factors from the half-angle tangent -----------------
+
+def test_cos_msin_kernel_against_extended_precision():
+    # Against cos and -sin of the same binary64 argument in x87 extended
+    # precision: uniform arguments up to 1e9, small ones, and points within
+    # 1e-6 of multiples of pi/2 (the odd multiples of pi are the poles of
+    # the half-angle tangent).
+    if np.finfo(np.longdouble).nmant < 63:
+        pytest.skip("np.longdouble is not x87 extended precision here")
+    rng = np.random.default_rng(20191115)
+    m = rng.integers(0, int(2e9 / math.pi), 100_000)
+    x = np.concatenate([
+        rng.uniform(0.0, 1e9, 100_000), rng.uniform(0.0, 10.0, 20_000),
+        m * (math.pi / 2.0) + rng.uniform(-1e-6, 1e-6, m.size),
+        np.arange(0, 64) * (math.pi / 2.0), [0.0, 5e-324, 1e-300]])
+    cos, msin = series_module._cos_msin(1.0, x)
+    xl = x.astype(np.longdouble)
+    bound = 3.0 * 2.0 ** -53
+    assert float(np.abs(cos.astype(np.longdouble) - np.cos(xl)).max()) <= bound
+    assert float(np.abs(msin.astype(np.longdouble) + np.sin(xl)).max()) <= bound
+
+
+def test_cos_msin_kernel_gives_nan_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cos, msin = series_module._cos_msin(1e308, np.log([1.0, 1e3]))
+    assert cos[0] == 1.0 and msin[0] == 0.0
+    assert math.isnan(cos[1]) and math.isnan(msin[1])
+
+
+@pytest.mark.parametrize("alternating", [False, True])
+@pytest.mark.parametrize("t, k", [(T1, 300_000), (T1, 10**6), (236.5, 10**5),
+                                  (74920.8, 10**5)])
+def test_partial_zeta_matches_the_cos_sin_route(t, k, alternating):
+    # The route partial_zeta took before the half-angle kernel, rebuilt:
+    # numpy's cos and sin of t log n, chunked the same way.
+    def columns(idx):
+        nf = idx.astype(np.float64)
+        w = series_module._n_pow(idx, 0.5, alternating)
+        arg = t * np.log(nf)
+        return np.cos(arg) * w, -np.sin(arg) * w
+
+    re, im = chunked_parallel_pair_sum(columns, k)
+    z = partial_zeta(0.5, t, k, alternating)
+    assert abs(z.real - re) <= 1e-14 and abs(z.imag - im) <= 1e-14
 
 
 # ---------------------- Euler-Maclaurin route of partial zeta ----------------

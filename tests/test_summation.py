@@ -377,8 +377,10 @@ def test_chunked_total_bit_identical_property():
 
 @pytest.mark.parametrize("alternating", [False, True])
 def test_partial_zeta_pair_sum_matches_per_chunk_reference(alternating):
-    # partial_zeta's callback at s = 1/2 + i t1, rebuilt here, reduced by
-    # compensated_sum per 4096-term chunk and fsum over the chunk totals.
+    # partial_zeta's callback at s = 1/2 + i t1, rebuilt here (its trig
+    # factors from the half-angle tangent u: cos = (1 - u^2)/(1 + u^2),
+    # -sin = -2u/(1 + u^2)), reduced by compensated_sum per 4096-term chunk
+    # and fsum over the chunk totals.
     t, k = 14.1347251417347, 300_000
     re_totals, im_totals = [], []
     for lo in range(1, k + 1, DEFAULT_CHUNK):
@@ -387,9 +389,10 @@ def test_partial_zeta_pair_sum_matches_per_chunk_reference(alternating):
         w = 1.0 / np.sqrt(nf)
         if alternating:
             w = np.where((idx & 1) == 1, -w, w)
-        arg = t * np.log(nf)
-        re_totals.append(compensated_sum(np.cos(arg) * w))
-        im_totals.append(compensated_sum(-np.sin(arg) * w))
+        u = np.tan(t * np.log(nf) * 0.5)
+        den = u * u + 1.0
+        re_totals.append(compensated_sum((1.0 - u * u) / den * w))
+        im_totals.append(compensated_sum(-2.0 * u / den * w))
     z = partial_zeta(0.5, t, k, alternating)
     assert z.real.hex() == math.fsum(re_totals).hex()
     assert z.imag.hex() == math.fsum(im_totals).hex()

@@ -28,18 +28,15 @@ from .fixedpoint import (
     f_of_t,
     g_of_t,
     iterate_fixed_point,
-    t_squared_extract,
 )
 from .series import (
     EULER_GAMMA,
     ORACLE_CAP,
-    BernoulliTable,
     EulerMaclaurinOrder,
     GammaEstimate,
     GammaMethod,
     SeriesParams,
     TrigSums,
-    c_squared,
     em_rhs,
     gamma_type1,
     gamma_type2,
@@ -51,7 +48,6 @@ from .series import (
     stieltjes_estimate,
     trig_sums,
     zeta_em,
-    zeta_mag_sq_alternating,
 )
 from .summation import (
     DEFAULT_CHUNK,
@@ -69,7 +65,6 @@ from .zeros import (
     builtin_catalog,
     get_zero,
     load_catalog,
-    save_catalog,
 )
 
 __version__ = "0.1.0"

@@ -104,11 +104,6 @@ def f_of_t(t: float, k: int, gamma_ref: float = EULER_GAMMA) -> float:
     return math.sqrt(radicand)
 
 
-def t_squared_extract(t: float, k: int, gamma_ref: float = EULER_GAMMA) -> float:
-    """Squared-ordinate form of the same extraction; exactly f_of_t(...)^2."""
-    return f_of_t(t, k, gamma_ref) ** 2
-
-
 def g_of_t(t: float, k: int) -> float:
     """Cotangent zero map built on the single cosine sum.
 

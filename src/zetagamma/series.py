@@ -131,32 +131,6 @@ def _bernoulli_even_rationals(count: int) -> tuple[Fraction, ...]:
     return tuple(b[2 * i] for i in range(1, count + 1))
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
-    """Even-index Bernoulli numbers B_2, B_4, ... rendered to binary64."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.values) < 4:
-            raise DomainError("Bernoulli table must hold at least B_2..B_8")
-        if self.values[0] != float(Fraction(1, 6)) or \
-                self.values[1] != float(Fraction(-1, 30)):
-            raise DomainError("Bernoulli table must start with 1/6, -1/30")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @classmethod
-    def default(cls, count: int = 8) -> "BernoulliTable":
-        """Exact-rational table of B_2..B_{2*count} rounded once to binary64."""
-        if count < 4:
-            raise DomainError("table length must be >= 4")
-        return cls(tuple(float(x) for x in _bernoulli_even_rationals(count)))
-
-
-_DEFAULT_BERNOULLI = BernoulliTable.default()
-
 #: Euler-Maclaurin coefficients B_2j/(2j)!, j = 1..8, each rounded once
 #: from the exact rationals.
 _EM_COEFFS = tuple(float(b / math.factorial(2 * j)) for j, b in
@@ -331,28 +305,20 @@ def harmonic_partial_sum(k: int) -> float:
     return partial_zeta(1.0, 0.0, k).real
 
 
-def harmonic_asymptotic(k: int, gamma: float, n_terms: int,
-                        bernoulli: BernoulliTable | None = None) -> float:
+def harmonic_asymptotic(k: int, gamma: float, n_terms: int) -> float:
     """Asymptotic expansion of H_k.
 
-    Returns ``gamma + log k + 1/(2k) - sum_{n=1..n_terms} B_2n/(2n k^2n)``.
-    ``n_terms = 0`` keeps only the 1/(2k) correction.  ``gamma`` must be
-    finite.
+    Returns ``gamma + log k + 1/k`` minus the Euler-Maclaurin tail of H_k:
+    ``gamma + log k + 1/(2k) - sum_{n=1..n_terms} B_2n/(2n k^2n)`` with
+    ``0 <= n_terms <= 8`` (0 keeps only 1/(2k)).  ``gamma`` must be finite.
     """
     k = _check_positive_int(k, "k")
     if not math.isfinite(gamma):
         raise DomainError("gamma must be finite")
     n_terms = _check_positive_int(n_terms, "n_terms", minimum=0)
-    if bernoulli is None:
-        bernoulli = _DEFAULT_BERNOULLI
-    if n_terms > len(bernoulli):
-        raise DomainError(
-            f"n_terms={n_terms} exceeds Bernoulli table length {len(bernoulli)}")
-    result = gamma + math.log(k) + 1.0 / (2.0 * k)
-    kf = float(k)
-    for n in range(1, n_terms + 1):
-        result -= bernoulli.values[n - 1] / (2.0 * n * kf ** (2 * n))
-    return result
+    if n_terms > len(_EM_COEFFS):
+        raise DomainError(f"n_terms must be <= {len(_EM_COEFFS)}")
+    return gamma + math.log(k) + 1.0 / k - _em_tail(1.0, k, n_terms + 1)
 
 
 def stieltjes_estimate(n: int, m: int) -> float:
@@ -388,29 +354,7 @@ def trig_sums(params: SeriesParams, alternating: bool) -> TrigSums:
     return TrigSums(cos_sum=z.real, sin_sum=sin_sum)
 
 
-def c_squared(sigma: float, t: float) -> float:
-    """Squared modulus of the eta-to-zeta prefactor 1/(1 - 2^(1-s)).
-
-    Returns ``1/(1 + 2^(2(1-sigma)) - 2^(2-sigma) cos(t log 2))``, which is
-    strictly positive on the open strip (the denominator equals
-    ``(1 - 2^(1-sigma))^2 + 2^(2-sigma)(1 - cos(t log 2))``).
-    """
-    if not (0.0 < sigma < 1.0):
-        raise DomainError("sigma must lie in the open interval (0, 1)")
-    if not math.isfinite(t):
-        raise DomainError("t must be finite")
-    denom = 1.0 + 2.0 ** (2.0 * (1.0 - sigma)) \
-        - 2.0 ** (2.0 - sigma) * math.cos(t * math.log(2.0))
-    return 1.0 / denom
-
-
-def zeta_mag_sq_alternating(params: SeriesParams) -> float:
-    """|zeta|^2 via the alternating route: C^2 (A^2 + B^2) at truncation k."""
-    ts = trig_sums(params, alternating=True)
-    return c_squared(params.sigma, params.t) * (
-        ts.cos_sum * ts.cos_sum + ts.sin_sum * ts.sin_sum)
-
-
+@np.errstate(over="ignore", invalid="ignore")  # nan terms: DomainError
 def offdiag_naive(params: SeriesParams, alternating: bool,
                   cap: int = ORACLE_CAP) -> float:
     """Doubled off-diagonal double sum by brute force - the O(k^2) oracle.
@@ -564,7 +508,7 @@ def em_rhs(t_q: float, k: int) -> tuple[float, float]:
 
     Returns the pair that the truncated sums of cos(t log n)/sqrt(n) and
     sin(t log n)/sqrt(n) over n = 1..k-1 approach when t_q is a zero
-    ordinate::
+    ordinate: Re z and -Im z for ``z = k^(1-s)/(1-s)``, s = 1/2 + i t_q::
 
         sqrt(k)/(1/4 + t^2) * (cos(t log k)/2 + t sin(t log k))
         sqrt(k)/(1/4 + t^2) * (sin(t log k)/2 - t cos(t log k))
@@ -572,7 +516,6 @@ def em_rhs(t_q: float, k: int) -> tuple[float, float]:
     k = _check_positive_int(k, "k")
     if not (0.0 < t_q < math.inf):
         raise DomainError("t_q must be finite and positive")
-    lk = math.log(k)
-    pref = math.sqrt(k) / (0.25 + t_q * t_q)
-    return (pref * (0.5 * math.cos(t_q * lk) + t_q * math.sin(t_q * lk)),
-            pref * (0.5 * math.sin(t_q * lk) - t_q * math.cos(t_q * lk)))
+    s = complex(0.5, t_q)
+    z = k ** (1.0 - s) / (1.0 - s)
+    return z.real, -z.imag

@@ -43,6 +43,7 @@ Euler-Maclaurin route that sums only a short head here.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Callable, Iterable
 
 import numpy as np
@@ -86,11 +87,14 @@ def get_num_workers() -> int:
 
 
 def _fsum(values: list[float]) -> float:
-    # fsum returns nan or inf only for a non-finite term, and raises
-    # OverflowError when the exact total exceeds binary64 and ValueError on
-    # inf + -inf; all are domain errors of the sum.
+    # fsum returns nan or inf only for a non-finite term and raises ValueError
+    # on inf + -inf.  Its OverflowError on a partial total that overflows is
+    # answered by the exact total rounded once, which may be finite.
     try:
-        total = math.fsum(values)
+        try:
+            total = math.fsum(values)
+        except OverflowError:
+            total = float(sum(map(Fraction, values)))
     except (OverflowError, ValueError):
         raise DomainError("sum is not finite in binary64") from None
     if not math.isfinite(total):

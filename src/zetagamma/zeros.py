@@ -125,13 +125,6 @@ def load_catalog(path: str | Path) -> ZeroCatalog:
     return ZeroCatalog(source=CatalogSource.FILE, zeros=tuple(zeros))
 
 
-def save_catalog(catalog: ZeroCatalog, path: str | Path) -> None:
-    """Write a catalog in the ``q t`` file format with round-trip precision."""
-    path = Path(path)
-    lines = [f"{z.q} {z.t!r}\n" for z in catalog.zeros]
-    path.write_text("".join(lines), encoding="utf-8")
-
-
 def get_zero(catalog: ZeroCatalog, q: int) -> ZetaZero:
     """Look up index q, reporting the nearest available index on a miss."""
     for z in catalog.zeros:

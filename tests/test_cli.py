@@ -149,6 +149,22 @@ def test_zero_iterate_phase_overflow_exits_3_with_one_line(map_name, message):
     assert proc.stderr == message
 
 
+def test_bench_phase_overflow_exits_3_with_one_line(tmp_path):
+    # The brute-force oracle at an ordinate whose t log(m/n) overflows: a
+    # typed error, with no numpy warning on stderr.
+    zeros = tmp_path / "zeros.txt"
+    zeros.write_text("1 1e308\n")
+    src = str(Path(zetagamma.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "zetagamma.cli", "bench", "--zeros-file",
+         str(zeros), "--q", "1", "--k", "100"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "error: non-finite term in summation input\n"
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1"])
 def test_zero_iterate_bad_tol_exits_3(capsys, tol):
     code, out, err = run_cli(capsys, "zero-iterate", "--map", "g",

@@ -14,7 +14,6 @@ from zetagamma import (
     f_of_t,
     g_of_t,
     iterate_fixed_point,
-    t_squared_extract,
 )
 from zetagamma.summation import MAX_DIRECT_K
 
@@ -28,14 +27,9 @@ def test_f_reference_rows():
     assert abs(f_of_t(T3, 10**5) - 25.0109204581271) <= 1e-6
 
 
-def test_t_squared_is_exactly_f_squared():
-    for t, k in ((T1, 100), (T3, 1000), (5.0, 500)):
-        assert t_squared_extract(t, k) == f_of_t(t, k) ** 2
-
-
 def test_t_squared_reference_value():
     ref = 14.1347605815184 ** 2
-    assert abs(t_squared_extract(T1, 10**5) - ref) <= 2e-4 * ref
+    assert abs(f_of_t(T1, 10**5) ** 2 - ref) <= 2e-4 * ref
 
 
 def test_f_singular_domain():
@@ -164,12 +158,11 @@ def test_non_finite_ordinate_rejected(call):
                          ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("call", [
     lambda g: f_of_t(T1, 1000, g),
-    lambda g: t_squared_extract(T1, 1000, g),
     lambda g: iterate_fixed_point(FixedPointMap.F_MAP, 14.2, 1000, 3, 0.0,
                                   gamma_ref=g),
     lambda g: iterate_fixed_point(FixedPointMap.G_MAP, 14.2, 1000, 3, 0.0,
                                   gamma_ref=g),
-], ids=["f_of_t", "t_squared_extract", "iterate_f", "iterate_g"])
+], ids=["f_of_t", "iterate_f", "iterate_g"])
 def test_non_finite_gamma_ref_rejected(call, gamma_ref):
     with pytest.raises(DomainError, match="gamma_ref"):
         call(gamma_ref)

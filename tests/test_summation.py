@@ -45,10 +45,26 @@ def test_non_finite_rejected(bad):
 
 
 def test_overflowing_total_rejected():
-    with pytest.raises(DomainError):
-        compensated_sum([1e308, 1e308])
+    # The last two overflow a partial total before the non-finite term.
+    for terms in ([1e308, 1e308], [1e308, 1e308, math.inf],
+                  [1e308, 1e308, math.nan]):
+        with pytest.raises(DomainError):
+            compensated_sum(terms)
     with pytest.raises(DomainError):
         chunked_parallel_sum(lambda n: np.full(n.shape, 1e308), 10)
+
+
+@pytest.mark.parametrize("terms, total", [
+    ([1e308, 1e308, -1e308], 1e308),
+    ([1.7e308, 1.7e308, -1.7e308, -1.7e308, 1.0], 1.0)])
+@pytest.mark.parametrize("chunk", [1, DEFAULT_CHUNK])
+def test_partial_overflow_with_finite_total(terms, total, chunk):
+    # A partial total overflows binary64 on the way; the exact total does not.
+    # chunk=1 moves the overflow from a chunk into the chunk combine.
+    values = np.array(terms)
+    assert compensated_sum(terms) == total
+    assert chunked_parallel_sum(lambda n: values[n - 1], len(terms),
+                                chunk=chunk) == total
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -239,13 +255,19 @@ def test_pair_sum_bit_identical_across_workers():
 # ------------------- exact chunk reduction: bit identity --------------------
 
 def _fsum_or_none(values):
-    # math.fsum, or None where it cannot return a finite total (the
-    # library raises DomainError there).
-    try:
-        total = math.fsum(values)
-    except (OverflowError, ValueError):
+    # The correctly rounded total, or None where it is not finite in
+    # binary64 (the library raises DomainError there).  math.fsum gives it
+    # unless a partial total overflows; then the exact rational total does.
+    if not all(math.isfinite(v) for v in values):
         return None
-    return total if math.isfinite(total) else None
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        pass
+    try:
+        return float(sum(map(Fraction, values)))
+    except OverflowError:
+        return None
 
 
 def _chunked_reference(x, chunk):

@@ -9,7 +9,7 @@ correctness gate.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .errors import ConsistencyError
@@ -18,7 +18,9 @@ from .series import SeriesParams, offdiag_factorized, offdiag_naive
 #: Reports with a larger naive/factorized discrepancy abort the run.
 MAX_ALLOWED_DIFF = 1e-10
 
-CSV_HEADER = ("k", "t", "naive_seconds", "factorized_seconds", "max_abs_diff")
+#: Timed runs of each route per k; a report keeps their median.
+#: ``benchmark/workloads.py`` mirrors it as ``BENCH_REPEATS``.
+REPEATS = 3
 
 
 @dataclass(frozen=True)
@@ -31,16 +33,15 @@ class BenchReport:
     factorized_seconds: float
     max_abs_diff: float
 
-    def csv_row(self) -> tuple:
-        return (self.k, self.t, self.naive_seconds,
-                self.factorized_seconds, self.max_abs_diff)
+
+CSV_HEADER = tuple(f.name for f in fields(BenchReport))
 
 
-def _median_time(fn, repeats: int) -> tuple[float, float]:
-    # Monotonic wall clock, median of `repeats` runs; returns (seconds, value).
+def _median_time(fn) -> tuple[float, float]:
+    # Monotonic wall clock, median of REPEATS runs; returns (seconds, value).
     times = []
     value = None
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.monotonic()
         value = fn()
         times.append(time.monotonic() - start)
@@ -48,21 +49,21 @@ def _median_time(fn, repeats: int) -> tuple[float, float]:
     return times[len(times) // 2], value
 
 
-def bench_offdiag(t: float, k_list: Sequence[int],
-                  repeats: int = 3) -> list[BenchReport]:
+def bench_offdiag(t: float, k_list: Sequence[int]) -> list[BenchReport]:
     """Time both off-diagonal routes on identical inputs.
 
-    Uses the alternating variant (the production gamma route).  Each k in
-    ``k_list`` must respect the brute-force cap.  Raises
-    ``ConsistencyError`` if any discrepancy exceeds ``MAX_ALLOWED_DIFF``.
+    Uses the alternating variant (the production gamma route), timed
+    ``REPEATS`` times per route and k.  Each k in ``k_list`` must respect
+    the brute-force cap.  Raises ``ConsistencyError`` if any discrepancy
+    exceeds ``MAX_ALLOWED_DIFF``.
     """
     reports = []
     for k in k_list:
         params = SeriesParams(0.5, t, int(k))
         naive_s, naive_v = _median_time(
-            lambda: offdiag_naive(params, alternating=True), repeats)
+            lambda: offdiag_naive(params, alternating=True))
         fact_s, fact_v = _median_time(
-            lambda: offdiag_factorized(params, alternating=True), repeats)
+            lambda: offdiag_factorized(params, alternating=True))
         diff = abs(naive_v - fact_v)
         if diff > MAX_ALLOWED_DIFF:
             raise ConsistencyError(

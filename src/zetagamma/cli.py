@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict, astuple, is_dataclass
 from typing import Sequence
 
 from . import summation
@@ -68,6 +69,13 @@ def _int_list(text: str) -> tuple[int, ...]:
     return values
 
 
+def _print_json(result) -> None:
+    # The result dataclasses are the output schema: their fields in order,
+    # enums by value.
+    print(json.dumps(result, default=lambda obj: asdict(obj)
+                     if is_dataclass(obj) else obj.value))
+
+
 def _write_csv(stream, header: Sequence[str], rows) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)
@@ -81,8 +89,7 @@ def _cmd_gamma(args) -> int:
     fn = gamma_type1 if args.method == "type1" else gamma_type2
     est = fn(zero.t, args.k, q=zero.q)
     if args.json:
-        print(json.dumps({"value": est.value, "method": est.method.value,
-                          "q": est.q, "t_q": est.t_q, "k": est.k}))
+        _print_json(est)
     else:
         print(_fmt(est.value))
         print(f"method={est.method.value} q={est.q} t_q={_fmt(est.t_q)} k={est.k}")
@@ -104,9 +111,9 @@ def _cmd_zero_iterate(args) -> int:
     trace = iterate_fixed_point(FixedPointMap(args.map), args.y0, args.k,
                                 args.iters, args.tol)
     if args.json:
-        print(json.dumps(trace.to_json_dict()))
+        _print_json(trace)
     else:
-        _write_csv(sys.stdout, ("iteration", "value"), trace.csv_rows())
+        _write_csv(sys.stdout, ("iteration", "value"), enumerate(trace.iterates))
         print(f"status: {trace.status.value} "
               f"(final_residual={_fmt(trace.final_residual)})", file=sys.stderr)
     return _STATUS_EXIT[trace.status]
@@ -136,10 +143,9 @@ def _cmd_bench(args) -> int:
     zero = get_zero(catalog, args.q)
     reports = bench_offdiag(zero.t, args.k)
     if args.json:
-        print(json.dumps({"reports": [dict(zip(BENCH_HEADER, r.csv_row()))
-                                      for r in reports]}))
+        _print_json({"reports": reports})
     else:
-        _write_csv(sys.stdout, BENCH_HEADER, (r.csv_row() for r in reports))
+        _write_csv(sys.stdout, BENCH_HEADER, map(astuple, reports))
     return EXIT_OK
 
 

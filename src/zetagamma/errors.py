@@ -12,7 +12,7 @@ class DomainError(ZetaGammaError, ValueError):
 
 
 class OracleCapError(DomainError):
-    """The O(k^2) brute-force path was asked to exceed its configured cap."""
+    """The O(k^2) brute-force path was asked to exceed ``ORACLE_CAP``."""
 
 
 class SingularGuardError(ZetaGammaError, ArithmeticError):

@@ -1,7 +1,7 @@
 """Fixed-point maps whose fixed points are zeta zero ordinates.
 
 Two maps are exposed.  The f map inverts the non-alternating harmonic
-asymptotics (square-root form, needs a gamma reference); the g map comes
+asymptotics (square-root form, with ``EULER_GAMMA``); the g map comes
 from the cosine asymptotic equation (cotangent form).  Iterating either
 from a nearby starting value can recover a zero ordinate, but convergence
 is fragile - it depends strongly on the truncation k and the start point,
@@ -50,50 +50,34 @@ class FixedPointTrace:
     step size |y_i - y_{i-1}| (None when no step completed).
     """
 
-    iterates: tuple[float, ...]
+    map: FixedPointMap
     k: int
+    tol: float
     status: FixedPointStatus
     final_residual: float | None
-    map: FixedPointMap
-    tol: float
+    iterates: tuple[float, ...]
 
     def __post_init__(self):
         if not self.iterates:
             raise DomainError("trace must contain at least the starting value")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "map": self.map.value,
-            "k": self.k,
-            "tol": self.tol,
-            "status": self.status.value,
-            "final_residual": self.final_residual,
-            "iterates": list(self.iterates),
-        }
 
-    def csv_rows(self) -> list[tuple[int, float]]:
-        return list(enumerate(self.iterates))
-
-
-def f_of_t(t: float, k: int, gamma_ref: float = EULER_GAMMA) -> float:
+def f_of_t(t: float, k: int) -> float:
     """Square-root zero map built on the non-alternating off-diagonal sum.
 
-    Returns ``sqrt((k+1) / (gamma_ref + log k + offdiag) - 1/4)`` with the
+    Returns ``sqrt((k+1) / (EULER_GAMMA + log k + offdiag) - 1/4)`` with the
     doubled off-diagonal sum taken at sigma = 1/2 via the factorized path.
     Fixed points of the k -> infinity limit are the zero ordinates.
 
     Raises ``SingularGuardError`` when the inverted quantity is not
     positive or the square-root argument is negative - the formula left
-    its real domain at this (t, k).  A non-finite ``gamma_ref`` is a
-    ``DomainError``.
+    its real domain at this (t, k).
     """
     if not (0.0 < t < math.inf):
         raise DomainError("t must be finite and positive")
     k = _check_positive_int(k, "k", minimum=2)
-    if not math.isfinite(gamma_ref):
-        raise DomainError("gamma_ref must be finite")
     off = offdiag_factorized(SeriesParams(0.5, t, k), alternating=False)
-    denom = gamma_ref + math.log(k) + off
+    denom = EULER_GAMMA + math.log(k) + off
     if denom <= 0.0:
         raise SingularGuardError(
             f"inverted term {denom!r} is not positive at t={t!r}, k={k}")
@@ -139,8 +123,7 @@ def g_of_t(t: float, k: int) -> float:
 
 
 def iterate_fixed_point(map: FixedPointMap, y0: float, k: int,
-                        max_iters: int, tol: float,
-                        gamma_ref: float = EULER_GAMMA) -> FixedPointTrace:
+                        max_iters: int, tol: float) -> FixedPointTrace:
     """Apply the chosen map repeatedly from y0 and record the full trace.
 
     Stops with CONVERGED when a step is <= tol, MAX_ITERS after
@@ -153,8 +136,6 @@ def iterate_fixed_point(map: FixedPointMap, y0: float, k: int,
     max_iters = _check_positive_int(max_iters, "max_iters")
     if not (0.0 <= tol < math.inf):
         raise DomainError("tol must be finite and >= 0")
-    if not math.isfinite(gamma_ref):
-        raise DomainError("gamma_ref must be finite")
     iterates = [float(y0)]
     status = FixedPointStatus.MAX_ITERS
     residual: float | None = None
@@ -165,7 +146,7 @@ def iterate_fixed_point(map: FixedPointMap, y0: float, k: int,
             if map is FixedPointMap.G_MAP:
                 y = g_of_t(prev, k)
             else:
-                y = f_of_t(prev, k, gamma_ref)
+                y = f_of_t(prev, k)
         except SingularGuardError:
             status = FixedPointStatus.SINGULAR_GUARD
             break
@@ -178,5 +159,5 @@ def iterate_fixed_point(map: FixedPointMap, y0: float, k: int,
         if residual <= tol:
             status = FixedPointStatus.CONVERGED
             break
-    return FixedPointTrace(iterates=tuple(iterates), k=int(k), status=status,
-                           final_residual=residual, map=map, tol=float(tol))
+    return FixedPointTrace(map=map, k=int(k), tol=float(tol), status=status,
+                           final_residual=residual, iterates=tuple(iterates))

@@ -53,9 +53,9 @@ from .summation import (
 #: Reference value of the Euler-Mascheroni constant used throughout.
 EULER_GAMMA = 0.577215664901533
 
-#: Largest k the O(k^2) brute-force off-diagonal path accepts by default.
-#: At k = 1e5 the pair count is already almost 5e9; the factorized path
-#: is the production route.  Pass ``cap`` explicitly to override.
+#: Largest k the O(k^2) brute-force off-diagonal path accepts.  At k = 1e5
+#: the pair count is already almost 5e9; the factorized path is the
+#: production route.
 ORACLE_CAP = 50_000
 
 #: Elements per row block of ``offdiag_naive`` (128 KiB of float64 per
@@ -242,6 +242,14 @@ def _em_plan(sigma: float) -> tuple[int, int]:
     return n - 1, 1 + next(i for i, f in enumerate(first) if f <= n)
 
 
+def _as_float(k: int) -> float:
+    # An integer k as binary64; one past its range is a DomainError.
+    try:
+        return float(k)
+    except OverflowError:
+        raise DomainError("k exceeds binary64") from None
+
+
 def _partial_zeta_em(sigma: float, k: int) -> float:
     # sum_{n<=k} n^-sigma, sigma > 0, k past the head of _em_plan(sigma):
     # the head directly, then the segment n = head+1..k as (tail from
@@ -253,10 +261,7 @@ def _partial_zeta_em(sigma: float, k: int) -> float:
     # by the argument, so the powers are taken as x x^-sigma instead.
     head, terms = _em_plan(sigma)
     n = head + 1
-    try:
-        end = float(k + 1)
-    except OverflowError:
-        raise DomainError(f"k={k} exceeds binary64") from None
+    end = _as_float(k + 1)
     u = 1.0 - sigma
     log_ratio = math.log(end / n)
     if abs(u * log_ratio) >= 1.0:
@@ -318,7 +323,8 @@ def harmonic_asymptotic(k: int, gamma: float, n_terms: int) -> float:
     n_terms = _check_positive_int(n_terms, "n_terms", minimum=0)
     if n_terms > len(_EM_COEFFS):
         raise DomainError(f"n_terms must be <= {len(_EM_COEFFS)}")
-    return gamma + math.log(k) + 1.0 / k - _em_tail(1.0, k, n_terms + 1)
+    x = _as_float(k)
+    return gamma + math.log(k) + 1.0 / x - _em_tail(1.0, x, n_terms + 1)
 
 
 def stieltjes_estimate(n: int, m: int) -> float:
@@ -355,8 +361,7 @@ def trig_sums(params: SeriesParams, alternating: bool) -> TrigSums:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # nan terms: DomainError
-def offdiag_naive(params: SeriesParams, alternating: bool,
-                  cap: int = ORACLE_CAP) -> float:
+def offdiag_naive(params: SeriesParams, alternating: bool) -> float:
     """Doubled off-diagonal double sum by brute force - the O(k^2) oracle.
 
     Returns ``2 sum_{n=1..k} sum_{m=n+1..k} s_mn cos(t log(m/n)) / (mn)^sigma``
@@ -373,11 +378,12 @@ def offdiag_naive(params: SeriesParams, alternating: bool,
     correctly rounded ``fsum``; that is far under the 1e-11 scaled gate
     against the factorized route.
 
-    Refuses k beyond ``cap`` to bound the quadratic runtime.
+    Refuses k beyond ``ORACLE_CAP`` with ``OracleCapError`` to bound the
+    quadratic runtime.
     """
     k = params.k
-    if k > cap:
-        raise OracleCapError(f"k={k} exceeds the brute-force cap {cap}")
+    if k > ORACLE_CAP:
+        raise OracleCapError(f"k={k} exceeds the brute-force cap {ORACLE_CAP}")
     if k < 2:
         return 0.0
     t = params.t
@@ -517,5 +523,5 @@ def em_rhs(t_q: float, k: int) -> tuple[float, float]:
     if not (0.0 < t_q < math.inf):
         raise DomainError("t_q must be finite and positive")
     s = complex(0.5, t_q)
-    z = k ** (1.0 - s) / (1.0 - s)
+    z = _as_float(k) ** (1.0 - s) / (1.0 - s)
     return z.real, -z.imag

@@ -9,8 +9,9 @@ exactly rounded total of its binary64 inputs.
 * ``compensated_sum`` - correctly rounded total of an explicit term
   sequence.
 * ``chunked_parallel_sum`` / ``chunked_parallel_pair_sum`` - the index
-  range ``1..k`` is cut into fixed chunks, each chunk's terms are computed
-  in one vectorized call and summed, and the chunk totals are summed in
+  range ``1..k`` is cut into chunks of 4096 indices (``DEFAULT_CHUNK``,
+  the only chunk length), each chunk's terms are computed in one
+  vectorized call and summed, and the chunk totals are summed in
   ascending chunk order.  The second sums several columns of terms from
   one traversal and returns one total per column.  Sums run on one
   thread; the ``workers`` count is validated and accepted, but results
@@ -33,7 +34,7 @@ goes to ``fsum`` term by term instead.
 
 A chunked total is the correctly rounded sum of correctly rounded chunk
 totals, so it can differ from a flat ``compensated_sum`` of the same terms
-in the last place; determinism for a fixed chunking is the contract.
+in the last place; determinism for the fixed chunking is the contract.
 Every sum raises ``DomainError`` on a non-finite term or a total that
 overflows binary64.  The chunked sums take at most ``MAX_DIRECT_K`` terms;
 above that, ``series.partial_zeta`` answers the real diagonal sums by an
@@ -50,8 +51,8 @@ import numpy as np
 
 from .errors import DomainError
 
-#: Default chunk length for the chunked sums.  Large enough to amortize
-#: per-call overhead, small enough to stay cache-resident.
+#: Chunk length of the chunked sums, read on every call.  Large enough to
+#: amortize per-call overhead, small enough to stay cache-resident.
 DEFAULT_CHUNK = 4096
 
 #: Largest index range the chunked sums accept.  Every term is computed,
@@ -132,11 +133,11 @@ def _chunk_total(terms: np.ndarray) -> float:
 
 
 def _chunked_fsum(block_fn: Callable[[np.ndarray], tuple[np.ndarray, ...]],
-                  k: int, chunk: int, workers: int | None) -> tuple[float, ...]:
+                  k: int, workers: int | None) -> tuple[float, ...]:
     # ``block_fn`` maps one chunk's indices to a tuple of term arrays, one
     # per column.  At k = 0 no chunk runs and the result is ().
     k = _check_positive_int(k, "k", minimum=0)
-    chunk = _check_positive_int(chunk, "chunk size")
+    chunk = DEFAULT_CHUNK
     if k > MAX_DIRECT_K:
         raise DomainError(f"k={k} exceeds the direct-sum cap {MAX_DIRECT_K}")
     if workers is not None:
@@ -154,23 +155,22 @@ def _chunked_fsum(block_fn: Callable[[np.ndarray], tuple[np.ndarray, ...]],
 
 def chunked_parallel_sum(term_fn: Callable[[np.ndarray], np.ndarray],
                          k: int,
-                         chunk: int = DEFAULT_CHUNK,
                          workers: int | None = None) -> float:
-    """Sum of ``term_fn`` over indices ``1..k`` in fixed chunks.
+    """Sum of ``term_fn`` over indices ``1..k`` in 4096-term chunks.
 
-    ``term_fn`` receives an int64 index array and must return the matching
-    float64 term array (vectorized).  Each chunk is summed exactly rounded
-    and the chunk totals are combined in ascending order.  ``workers`` is
-    validated but does not change the result or the thread count.
+    ``term_fn`` receives an int64 index array of at most ``DEFAULT_CHUNK``
+    indices and must return the matching float64 term array (vectorized).
+    Each chunk is summed exactly rounded and the chunk totals are combined
+    in ascending order.  ``workers`` is validated but does not change the
+    result or the thread count.
     """
-    totals = _chunked_fsum(lambda idx: (term_fn(idx),), k, chunk, workers)
+    totals = _chunked_fsum(lambda idx: (term_fn(idx),), k, workers)
     return totals[0] if totals else 0.0
 
 
 def chunked_parallel_pair_sum(pair_fn: Callable[[np.ndarray],
                                                 tuple[np.ndarray, ...]],
                               k: int,
-                              chunk: int = DEFAULT_CHUNK,
                               workers: int | None = None) -> tuple[float, ...]:
     """Several sums sharing one traversal of ``1..k``, one total per column.
 
@@ -182,5 +182,5 @@ def chunked_parallel_pair_sum(pair_fn: Callable[[np.ndarray],
     runs, so ``pair_fn`` is called once on an empty index array to learn
     the column count, and every total is 0.0.
     """
-    totals = _chunked_fsum(pair_fn, k, chunk, workers)
+    totals = _chunked_fsum(pair_fn, k, workers)
     return totals or (0.0,) * len(pair_fn(np.arange(1, 1, dtype=np.int64)))

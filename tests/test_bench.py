@@ -1,8 +1,10 @@
 """Benchmark harness: equivalence gating and the complexity gap."""
 
+from dataclasses import astuple
+
 import pytest
 
-from zetagamma import OracleCapError, bench_offdiag
+from zetagamma import OracleCapError, bench, bench_offdiag
 from zetagamma.bench import CSV_HEADER
 
 T1 = 14.1347251417347
@@ -12,18 +14,19 @@ def test_empty_list_gives_empty_reports():
     assert bench_offdiag(T1, []) == []
 
 
-def test_reports_agree_and_serialize():
-    reports = bench_offdiag(T1, [500, 1000], repeats=1)
+def test_reports_agree_and_serialize(monkeypatch):
+    monkeypatch.setattr(bench, "REPEATS", 1)
+    reports = bench_offdiag(T1, [500, 1000])
     assert len(reports) == 2
     for rep in reports:
         assert rep.max_abs_diff <= 1e-11
-        row = rep.csv_row()
+        row = astuple(rep)
         assert len(row) == len(CSV_HEADER)
         assert row[0] == rep.k and row[1] == T1
 
 
 def test_factorized_beats_naive_at_10k():
-    (rep,) = bench_offdiag(T1, [10_000], repeats=3)
+    (rep,) = bench_offdiag(T1, [10_000])
     assert rep.factorized_seconds < rep.naive_seconds
     assert rep.max_abs_diff <= 1e-10
 

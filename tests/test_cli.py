@@ -47,6 +47,7 @@ def test_gamma_json_mode(capsys):
                            "--q", "2", "--k", "100")
     assert code == 0
     payload = json.loads(out)
+    assert list(payload) == ["value", "method", "q", "t_q", "k"]
     assert payload["method"] == "type2" and payload["q"] == 2
     assert payload["t_q"] == 21.0220396387716
     assert math.isfinite(payload["value"])
@@ -188,6 +189,8 @@ def test_zero_iterate_json(capsys):
     code, out, _ = run_cli(capsys, "zero-iterate", "--json", "--map", "f",
                            "--y0", "14.2", "--k", "1000", "--iters", "3")
     payload = json.loads(out)
+    assert list(payload) == ["map", "k", "tol", "status", "final_residual",
+                             "iterates"]
     assert payload["map"] == "f"
     assert len(payload["iterates"]) >= 2
     assert code in (0, 4, 5)
@@ -262,6 +265,17 @@ def test_bench_csv_and_cap(capsys):
     code, _, err = run_cli(capsys, "bench", "--k", "100000", "--q", "1")
     assert code == 3
     assert "cap" in err
+
+
+def test_bench_json_keys(capsys):
+    code, out, _ = run_cli(capsys, "bench", "--json", "--k", "50,60")
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == ["reports"]
+    assert [r["k"] for r in payload["reports"]] == [50, 60]
+    for report in payload["reports"]:
+        assert list(report) == ["k", "t", "naive_seconds",
+                                "factorized_seconds", "max_abs_diff"]
 
 
 def test_bench_cap_error_names_no_cli_option(capsys):

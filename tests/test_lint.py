@@ -1,5 +1,6 @@
 """Static checks on the package sources: no dead imports, no dead private code,
-and numpy cos/sin only in the brute-force oracle."""
+no default that no call overrides, and numpy cos/sin only in the brute-force
+oracle."""
 
 import ast
 from pathlib import Path
@@ -108,3 +109,63 @@ def test_numpy_trig_check_flags_calls_outside_the_oracle():
         "    f = np.cos\n"
         "    return np.sin(x) + f(x) + np.tan(x)\n")
     assert _numpy_trig_outside_oracle(ast.parse(source)) == [2, 6, 7]
+
+
+#: Parameters with a default that no call inside the package passes, each
+#: with the reason it stays a parameter.
+UNPASSED_DEFAULTS_ALLOWED = {
+    ("summation.py", "chunked_parallel_sum", "workers"):
+        "acceptance criterion 08 and the benchmark pass it",
+    ("summation.py", "chunked_parallel_pair_sum", "workers"):
+        "acceptance criterion 08 and the benchmark pass it",
+    ("series.py", "zeta_em", "order"): "acceptance criterion 09 passes it",
+    ("series.py", "gamma_type1", "q"): "the CLI passes it through a local alias",
+    ("series.py", "gamma_type2", "q"): "the CLI passes it through a local alias",
+    ("cli.py", "main", "argv"): "entry point, called with the command line",
+}
+
+
+def _unpassed_defaults(trees: dict[str, ast.Module]) -> set[tuple[str, str, str]]:
+    # (module, function, parameter) for every parameter with a default that
+    # no call of a function of that name passes, by keyword or by position.
+    keywords, positional = set(), {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            keywords.update((name, kw.arg) for kw in node.keywords)
+            positional[name] = max(positional.get(name, 0), len(node.args))
+    unpassed = set()
+    for module, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            params = args.posonlyargs + args.args
+            first = len(params) - len(args.defaults)
+            with_default = [(i, a.arg) for i, a in enumerate(params) if i >= first]
+            with_default += [(None, a.arg) for a, d in
+                             zip(args.kwonlyargs, args.kw_defaults) if d]
+            unpassed.update(
+                (module, fn.name, arg) for i, arg in with_default
+                if (fn.name, arg) not in keywords
+                and (i is None or positional.get(fn.name, 0) <= i))
+    return unpassed
+
+
+def test_every_default_is_passed_by_some_call_or_allowed():
+    unpassed = _unpassed_defaults(TREES)
+    allowed = set(UNPASSED_DEFAULTS_ALLOWED)
+    assert not unpassed - allowed, f"defaults no call passes: {unpassed - allowed}"
+    assert not allowed - unpassed, f"stale allow-list entries: {allowed - unpassed}"
+
+
+def test_default_check_flags_a_dead_default():
+    source = (
+        "def f(a, b=1, c=2, *, d=3, e=4):\n"
+        "    return a\n"
+        "def g(x=0):\n"
+        "    return f(1, 2, e=5) + obj.g(x=1)\n")
+    assert _unpassed_defaults({"m.py": ast.parse(source)}) == {
+        ("m.py", "f", "c"), ("m.py", "f", "d")}

@@ -75,8 +75,13 @@ def test_bool_rejected_where_integer_expected():
     lambda: harmonic_asymptotic(10, math.inf, 2),
     lambda: harmonic_asymptotic(10, -math.inf, 2),
     lambda: harmonic_asymptotic(10, 0.5, 9),
+    lambda: harmonic_asymptotic(10**400, 0.5, 2),
+    lambda: em_rhs(14.1, 10**400),
+    lambda: harmonic_partial_sum(10**5000),
 ], ids=["em_rhs_inf", "n_terms_float", "n_terms_bool",
-        "gamma_nan", "gamma_inf", "gamma_-inf", "n_terms_past_table"])
+        "gamma_nan", "gamma_inf", "gamma_-inf", "n_terms_past_table",
+        "harmonic_asymptotic_k_past_binary64", "em_rhs_k_past_binary64",
+        "harmonic_k_past_int_str_limit"])
 def test_typed_errors_at_library_edge(call):
     with pytest.raises(DomainError):
         call()
@@ -483,11 +488,13 @@ def test_offdiag_naive_equals_factorized_property():
     check()
 
 
-def test_offdiag_cap_enforced_and_overridable():
+def test_offdiag_cap_enforced_and_overridable(monkeypatch):
     p = SeriesParams(0.5, 1.0, 60)
-    with pytest.raises(OracleCapError):
-        offdiag_naive(p, True, cap=50)
-    assert math.isfinite(offdiag_naive(p, True, cap=60))
+    monkeypatch.setattr(series_module, "ORACLE_CAP", 50)
+    with pytest.raises(OracleCapError, match="cap 50$"):
+        offdiag_naive(p, True)
+    monkeypatch.setattr(series_module, "ORACLE_CAP", 60)
+    assert math.isfinite(offdiag_naive(p, True))
 
 
 # ----------------------- Euler-Maclaurin continuation ----------------------

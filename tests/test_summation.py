@@ -5,10 +5,12 @@ import random
 import threading
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from zetagamma import summation
 from zetagamma import (
     DomainError,
     chunked_parallel_pair_sum,
@@ -58,13 +60,13 @@ def test_overflowing_total_rejected():
     ([1e308, 1e308, -1e308], 1e308),
     ([1.7e308, 1.7e308, -1.7e308, -1.7e308, 1.0], 1.0)])
 @pytest.mark.parametrize("chunk", [1, DEFAULT_CHUNK])
-def test_partial_overflow_with_finite_total(terms, total, chunk):
+def test_partial_overflow_with_finite_total(terms, total, chunk, monkeypatch):
     # A partial total overflows binary64 on the way; the exact total does not.
-    # chunk=1 moves the overflow from a chunk into the chunk combine.
+    # Chunk length 1 moves the overflow from a chunk into the chunk combine.
     values = np.array(terms)
     assert compensated_sum(terms) == total
-    assert chunked_parallel_sum(lambda n: values[n - 1], len(terms),
-                                chunk=chunk) == total
+    monkeypatch.setattr(summation, "DEFAULT_CHUNK", chunk)
+    assert chunked_parallel_sum(lambda n: values[n - 1], len(terms)) == total
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -103,10 +105,11 @@ def test_error_bound_vs_exact_rational(length):
     assert result == float(exact)  # math.fsum rounds correctly
 
 
-def test_chunked_matches_sequential():
+def test_chunked_matches_sequential(monkeypatch):
     k = 10_000
     flat = compensated_sum(1.0 / np.arange(1, k + 1, dtype=np.float64))
-    chunked = chunked_parallel_sum(lambda n: 1.0 / n, k, chunk=512)
+    monkeypatch.setattr(summation, "DEFAULT_CHUNK", 512)
+    chunked = chunked_parallel_sum(lambda n: 1.0 / n, k)
     assert abs(chunked - flat) <= 1e-14 * abs(flat)
 
 
@@ -115,16 +118,12 @@ def test_chunked_zero_terms():
         lambda n: np.zeros(n.shape, dtype=np.float64), 10**6) == 0.0
 
 
-def test_chunked_rejects_bad_chunk():
-    with pytest.raises(DomainError):
-        chunked_parallel_sum(lambda n: 1.0 / n, 100, chunk=0)
-
-
 @pytest.mark.parametrize("workers", [2, 8])
-def test_chunked_bit_identical_across_workers(workers):
+def test_chunked_bit_identical_across_workers(workers, monkeypatch):
     k = 10**6
-    base = chunked_parallel_sum(lambda n: 1.0 / n, k, chunk=512, workers=1)
-    multi = chunked_parallel_sum(lambda n: 1.0 / n, k, chunk=512, workers=workers)
+    monkeypatch.setattr(summation, "DEFAULT_CHUNK", 512)
+    base = chunked_parallel_sum(lambda n: 1.0 / n, k, workers=1)
+    multi = chunked_parallel_sum(lambda n: 1.0 / n, k, workers=workers)
     assert multi == base
 
 
@@ -185,13 +184,12 @@ def test_worker_count_never_changes_a_sum_property():
     @hypothesis.given(k=st.integers(0, 20_000), chunk=st.integers(1, 5000),
                       workers=st.integers(1, 64))
     def check(k, chunk, workers):
-        single = chunked_parallel_sum(lambda n: pair(n)[0], k, chunk=chunk,
-                                      workers=1)
-        assert chunked_parallel_sum(lambda n: pair(n)[0], k, chunk=chunk,
-                                    workers=workers) == single
-        base = chunked_parallel_pair_sum(pair, k, chunk=chunk, workers=1)
-        assert chunked_parallel_pair_sum(pair, k, chunk=chunk,
-                                         workers=workers) == base
+        with mock.patch.object(summation, "DEFAULT_CHUNK", chunk):
+            single = chunked_parallel_sum(lambda n: pair(n)[0], k, workers=1)
+            assert chunked_parallel_sum(lambda n: pair(n)[0], k,
+                                        workers=workers) == single
+            base = chunked_parallel_pair_sum(pair, k, workers=1)
+            assert chunked_parallel_pair_sum(pair, k, workers=workers) == base
 
     check()
 
@@ -278,12 +276,15 @@ def _chunked_reference(x, chunk):
 
 
 def _assert_bit_identical(x, chunk):
+    # Also runs inside hypothesis bodies, so it patches the chunk length
+    # with mock rather than with a monkeypatch fixture.
     expected = _chunked_reference(x, chunk)
-    if expected is None:
-        with pytest.raises(DomainError):
-            chunked_parallel_sum(lambda idx: x[idx - 1], len(x), chunk=chunk)
-        return
-    got = chunked_parallel_sum(lambda idx: x[idx - 1], len(x), chunk=chunk)
+    with mock.patch.object(summation, "DEFAULT_CHUNK", chunk):
+        if expected is None:
+            with pytest.raises(DomainError):
+                chunked_parallel_sum(lambda idx: x[idx - 1], len(x))
+            return
+        got = chunked_parallel_sum(lambda idx: x[idx - 1], len(x))
     assert got.hex() == expected.hex()
 
 
@@ -430,15 +431,9 @@ def test_chunked_rejects_bad_k(k):
         chunked_parallel_pair_sum(lambda n: (1.0 / n, 1.0 / n), k)
 
 
-@pytest.mark.parametrize("chunk", [2.5, -1, False, float("nan")])
-def test_chunked_rejects_bad_chunk_type(chunk):
-    with pytest.raises(DomainError):
-        chunked_parallel_sum(lambda n: 1.0 / n, 100, chunk=chunk)
-
-
 def test_chunked_accepts_numpy_integers():
-    assert chunked_parallel_sum(lambda n: n.astype(np.float64), np.int64(4),
-                                chunk=np.int32(3)) == 10.0
+    assert chunked_parallel_sum(lambda n: n.astype(np.float64),
+                                np.int64(4)) == 10.0
     assert chunked_parallel_sum(lambda n: 1.0 / n, 0) == 0.0
 
 

@@ -6,7 +6,9 @@ sums run on one thread, and results never depend on N.  Exit codes:
 0 ok, 1 other failure (an unwritable --out file, or bench routes that
 disagree), 2 catalog miss, unreadable --zeros-file or bad arguments (an
 empty --q/--k list among them), 3 domain or cap error, 4 diverged
-iteration, 5 singular guard.
+iteration, 5 singular guard.  A table row whose f map leaves its domain
+is printed with empty value cells and one ``warning:`` line on stderr; the
+table still exits 0.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import csv
 import io
 import json
 import sys
+import warnings
 from dataclasses import asdict, astuple, is_dataclass
 from typing import Sequence
 
@@ -25,7 +28,7 @@ from .bench import bench_offdiag
 from .errors import CatalogError, DomainError, SingularGuardError, ZetaGammaError
 from .fixedpoint import FixedPointMap, FixedPointStatus, iterate_fixed_point
 from .series import gamma_type1, gamma_type2
-from .tables import TABLE_IDS, TableSpec, build_table
+from .tables import TABLE_IDS, OffDomainRowWarning, TableSpec, build_table
 from .zeros import builtin_catalog, get_zero, load_catalog
 
 EXIT_OK = 0
@@ -121,7 +124,11 @@ def _cmd_zero_iterate(args) -> int:
 
 def _cmd_tables(args) -> int:
     spec = TableSpec(table_id=args.id, k=args.k, zero_indices=args.q)
-    header, rows = build_table(spec, catalog=_resolve_catalog(args))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", OffDomainRowWarning)
+        header, rows = build_table(spec, catalog=_resolve_catalog(args))
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     buf = io.StringIO()
     if args.json:
         buf.write(json.dumps({"table_id": args.id, "rows": rows}) + "\n")

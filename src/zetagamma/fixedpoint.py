@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -21,6 +22,8 @@ from .series import (
     EULER_GAMMA,
     SeriesParams,
     _cos_msin,
+    _offdiag,
+    _partial_zeta_direct,
     offdiag_factorized,
 )
 from .summation import _check_positive_int, chunked_parallel_sum
@@ -73,10 +76,19 @@ def f_of_t(t: float, k: int) -> float:
     positive or the square-root argument is negative - the formula left
     its real domain at this (t, k).
     """
-    if not (0.0 < t < math.inf):
-        raise DomainError("t must be finite and positive")
+    _check_t(t)
     k = _check_positive_int(k, "k", minimum=2)
     off = offdiag_factorized(SeriesParams(0.5, t, k), alternating=False)
+    return _f_formula(t, k, off)
+
+
+def _check_t(t: float) -> None:
+    if not (0.0 < t < math.inf):
+        raise DomainError("t must be finite and positive")
+
+
+def _f_formula(t: float, k: int, off: float) -> float:
+    # f at (t, k) from its doubled off-diagonal sum, with the domain guards.
     denom = EULER_GAMMA + math.log(k) + off
     if denom <= 0.0:
         raise SingularGuardError(
@@ -88,6 +100,29 @@ def f_of_t(t: float, k: int) -> float:
     return math.sqrt(radicand)
 
 
+def _f_values(ts: Sequence[float], k: int
+              ) -> list[float | SingularGuardError]:
+    # f_of_t(t, k) for each t in ts, bit for bit, from one traversal of
+    # n = 1..k shared by every ordinate (H_k summed once, log n and n^-1/2
+    # evaluated once per n).  An ordinate whose guard trips gets the
+    # SingularGuardError in place of its value; the others still count.
+    # No ordinates, no sum.
+    if not ts:
+        return []
+    for t in ts:
+        _check_t(t)
+    k = _check_positive_int(k, "k", minimum=2)
+    diag, *sums = _partial_zeta_direct(
+        k, ((1.0, 0.0, False, k), *((0.5, t, False, k) for t in ts)))
+    values: list[float | SingularGuardError] = []
+    for t, z in zip(ts, sums):
+        try:
+            values.append(_f_formula(t, k, _offdiag(z, diag)))
+        except SingularGuardError as exc:
+            values.append(exc)
+    return values
+
+
 def g_of_t(t: float, k: int) -> float:
     """Cotangent zero map built on the single cosine sum.
 
@@ -97,8 +132,7 @@ def g_of_t(t: float, k: int) -> float:
     Raises ``SingularGuardError`` when |sin(t log k)| or |cos(t log k)|
     falls below ``SINGULARITY_EPS``; retry with a different k in that case.
     """
-    if not (0.0 < t < math.inf):
-        raise DomainError("t must be finite and positive")
+    _check_t(t)
     k = _check_positive_int(k, "k", minimum=2)
     x = t * math.log(k)
     if not math.isfinite(x):

@@ -29,6 +29,13 @@ series, one via the non-alternating truncated series.  Both reduce an
 O(k^2) double sum to O(k) through the squared-trig-sum factorization
 checked against the brute-force oracle ``offdiag_naive``;
 ``gamma_estimates`` returns both from one traversal of ``n = 1..k``.
+
+A list of zeros at one k shares that traversal too (the zero-list tables
+T2/T3/T5/T6): the diagonals H_k and H_(k-1) do not depend on the zero and
+are summed once, and each chunk takes log n and n^-1/2 (with its
+alternating copy) once for all zeros and the trig factors once per
+ordinate.  Every sum still gets its own correctly rounded reduction, so
+each value is bit-identical to a call for that zero alone.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -182,29 +190,40 @@ def _partial_zeta_direct(k: int, parts: tuple[tuple[float, float, bool, int], ..
                          ) -> list[complex]:
     # S(sigma + it, last) with e_n = (-1)^n or 1 for each
     # (sigma, t, alternating, last) in parts, last <= k, from one traversal
-    # of n = 1..k: n^-sigma, log and the trig factors (_cos_msin) are
-    # evaluated once per n and per distinct sigma or t, and the terms with
-    # n > last are zeroed.  At t == 0 only the real part is summed.
-    def columns(idx: np.ndarray) -> tuple[np.ndarray, ...]:
+    # of n = 1..k.  Per chunk, log n is taken once, n^-sigma once per sigma,
+    # each weight e_n n^-sigma (zeroed for n > last) once per (sigma,
+    # alternating, last), and the trig factors (_cos_msin) once per run of
+    # parts sharing t, dropped when t changes.  Columns are yielded one at a
+    # time, so the chunked sum reduces each before the next is made.  At
+    # t == 0 only the real part is summed.
+    def columns(idx: np.ndarray):
         powers: dict[float, np.ndarray] = {}
-        trig: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-        out = []
+        weights: dict[tuple[float, bool, int], np.ndarray] = {}
+        log_n = trig = trig_t = None
         for sigma, t, alternating, last in parts:
-            if sigma not in powers:
-                powers[sigma] = _n_pow(idx, sigma)
-            v = powers[sigma].copy() if len(parts) > 1 else powers[sigma]
-            if alternating:
-                _alternate(idx, v)
-            if last < k and idx[-1] > last:
-                v[idx > last] = 0.0
+            key = (sigma, alternating, last)
+            if key not in weights:
+                if sigma not in powers:
+                    powers[sigma] = _n_pow(idx, sigma)
+                w = powers[sigma]
+                cut = last < k and idx[-1] > last
+                if alternating or cut:
+                    w = w.copy()
+                    if alternating:
+                        _alternate(idx, w)
+                    if cut:
+                        w[idx > last] = 0.0
+                weights[key] = w
+            w = weights[key]
             if t == 0.0:
-                out.append(v)
+                yield w
                 continue
-            if t not in trig:
-                trig[t] = _cos_msin(t, np.log(idx.astype(np.float64)))
-            cos, msin = trig[t]
-            out += [cos * v, msin * v]
-        return tuple(out)
+            if t != trig_t:
+                if log_n is None:
+                    log_n = np.log(idx.astype(np.float64))
+                trig, trig_t = _cos_msin(t, log_n), t
+            yield trig[0] * w
+            yield trig[1] * w
 
     totals = iter(chunked_parallel_pair_sum(columns, k))
     return [complex(next(totals), 0.0 if t == 0.0 else next(totals))
@@ -475,12 +494,26 @@ def gamma_estimates(t_q: float, k: int, q: int | None = None
     at k-1) from one evaluation of n^-1/2, log, cos and sin per n; each
     column keeps its own correctly rounded reduction.
     """
-    p = _gamma_params(t_q, k)
-    alt, plain, diag, diag_prev = _partial_zeta_direct(p.k, (
-        (0.5, p.t, True, p.k), (0.5, p.t, False, p.k - 1),
-        (1.0, 0.0, False, p.k), (1.0, 0.0, False, p.k - 1)))
-    return (_type1(_offdiag(alt, diag), p, q),
-            _type2(_offdiag(plain, diag_prev), p, q))
+    return _gamma_pairs(k, ((t_q, q),))[0]
+
+
+def _gamma_pairs(k: int, zeros: Sequence[tuple[float, int | None]]
+                 ) -> list[tuple[GammaEstimate, GammaEstimate]]:
+    # gamma_estimates(t_q, k, q) for each (t_q, q) in zeros, bit for bit,
+    # from one traversal of n = 1..k shared by every zero: H_k and H_(k-1)
+    # are summed once, and log n and n^-1/2 (with its alternating copy)
+    # are evaluated once per n for all zeros.  No zeros, no sum.
+    params = [(_gamma_params(t_q, k), q) for t_q, q in zeros]
+    if not params:
+        return []
+    k = params[0][0].k
+    diag, diag_prev, *sums = _partial_zeta_direct(k, (
+        (1.0, 0.0, False, k), (1.0, 0.0, False, k - 1),
+        *((0.5, p.t, alternating, last) for p, _ in params
+          for alternating, last in ((True, k), (False, k - 1)))))
+    return [(_type1(_offdiag(alt, diag), p, q),
+             _type2(_offdiag(plain, diag_prev), p, q))
+            for (p, q), alt, plain in zip(params, sums[::2], sums[1::2])]
 
 
 class EulerMaclaurinOrder(IntEnum):

@@ -13,9 +13,11 @@ exactly rounded total of its binary64 inputs.
   the only chunk length), each chunk's terms are computed in one
   vectorized call and summed, and the chunk totals are summed in
   ascending chunk order.  The second sums several columns of terms from
-  one traversal and returns one total per column.  Sums run on one
-  thread; the ``workers`` count is validated and accepted, but results
-  never depend on it.
+  one traversal and returns one total per column; its callback may return
+  the columns or yield them one at a time, and each is reduced as soon as
+  it is produced, so a chunk's live arrays do not grow with the column
+  count.  Sums run on one thread; the ``workers`` count is validated and
+  accepted, but results never depend on it.
 
 A chunk is not handed to ``fsum`` term by term.  It is first reduced
 exactly in numpy by the error-free extraction of Rump, Ogita and Oishi
@@ -35,6 +37,10 @@ goes to ``fsum`` term by term instead.
 A chunked total is the correctly rounded sum of correctly rounded chunk
 totals, so it can differ from a flat ``compensated_sum`` of the same terms
 in the last place; determinism for the fixed chunking is the contract.
+The chunk totals do not pile up: once a column holds ``DEFAULT_CHUNK`` of
+them, the same extraction folds them into its few exact pass totals, and
+the final ``fsum`` rounds the unchanged exact total once, so folding never
+moves a bit.  Totals too near overflow for the extraction stay unfolded.
 Every sum raises ``DomainError`` on a non-finite term or a total that
 overflows binary64.  The chunked sums take at most ``MAX_DIRECT_K`` terms;
 above that, ``series.partial_zeta`` answers the real diagonal sums by an
@@ -110,17 +116,19 @@ def compensated_sum(terms: Iterable[float] | np.ndarray) -> float:
     return _fsum([float(x) for x in terms])
 
 
-def _chunk_total(terms: np.ndarray) -> float:
-    # Exact extraction passes (see the module docstring), then one fsum.
-    # The passes overwrite x, so it is a copy of the caller's terms.
-    x = np.array(terms, dtype=np.float64).ravel()
+def _exact_parts(values) -> list[float] | None:
+    # Floats whose exact sum is the exact sum of ``values``: the
+    # extraction's pass totals (see the module docstring), or None where
+    # some |value| is too close to overflow for a pass.  The passes
+    # overwrite x, so it is a copy of the caller's values.
+    x = np.array(values, dtype=np.float64).ravel()
     m = x.size.bit_length()
     q = np.empty_like(x)
     mu = float(np.abs(x, out=q).max(initial=0.0))
     if not math.isfinite(mu):
         raise DomainError("non-finite term in summation input")
     if math.frexp(mu)[1] + m > 1023:
-        return _fsum(x.tolist())
+        return None
     parts: list[float] = []
     while mu:
         sigma = math.ldexp(1.0, math.frexp(mu)[1] + m)
@@ -129,13 +137,28 @@ def _chunk_total(terms: np.ndarray) -> float:
         x -= q
         parts.append(float(q.sum()))
         mu = float(np.abs(x, out=q).max())
+    return parts
+
+
+def _chunk_total(terms: np.ndarray) -> float:
+    # Exactly math.fsum of the terms: the exact parts, then one fsum.
+    parts = _exact_parts(terms)
+    if parts is None:
+        parts = np.asarray(terms, dtype=np.float64).ravel().tolist()
     return _fsum(parts)
 
 
-def _chunked_fsum(block_fn: Callable[[np.ndarray], tuple[np.ndarray, ...]],
+def _chunked_fsum(block_fn: Callable[[np.ndarray], Iterable[np.ndarray]],
                   k: int, workers: int | None) -> tuple[float, ...]:
-    # ``block_fn`` maps one chunk's indices to a tuple of term arrays, one
-    # per column.  At k = 0 no chunk runs and the result is ().
+    # ``block_fn`` maps one chunk's indices to its term arrays, one per
+    # column, and may yield them: each is reduced as soon as it arrives, so
+    # a chunk keeps few arrays alive whatever the column count.  Once a
+    # column holds ``DEFAULT_CHUNK`` chunk totals they are replaced by their
+    # exact parts (a few floats), so no column grows with k; the final fsum
+    # still rounds the exact total once.  The next fold waits until the
+    # column has doubled, which bounds the work when the parts are many (a
+    # tiny chunk length) or when totals near overflow cannot be folded and
+    # stay as they are.  At k = 0 no chunk runs and the result is ().
     k = _check_positive_int(k, "k", minimum=0)
     chunk = DEFAULT_CHUNK
     if k > MAX_DIRECT_K:
@@ -143,13 +166,20 @@ def _chunked_fsum(block_fn: Callable[[np.ndarray], tuple[np.ndarray, ...]],
     if workers is not None:
         _check_positive_int(workers, "worker count")
     totals: list[list[float]] = []
+    fold_at: list[int] = []
     for lo in range(1, k + 1, chunk):
         idx = np.arange(lo, min(lo + chunk, k + 1), dtype=np.int64)
-        columns = block_fn(idx)
-        if not totals:
-            totals = [[] for _ in columns]
-        for column, terms in zip(totals, columns):
+        for i, terms in enumerate(block_fn(idx)):
+            if i == len(totals):
+                totals.append([])
+                fold_at.append(chunk)
+            column = totals[i]
             column.append(_chunk_total(terms))
+            if len(column) >= fold_at[i]:
+                parts = _exact_parts(column)
+                if parts is not None:
+                    column[:] = parts
+                fold_at[i] = max(chunk, 2 * len(column))
     return tuple(_fsum(column) for column in totals)
 
 
@@ -169,18 +199,20 @@ def chunked_parallel_sum(term_fn: Callable[[np.ndarray], np.ndarray],
 
 
 def chunked_parallel_pair_sum(pair_fn: Callable[[np.ndarray],
-                                                tuple[np.ndarray, ...]],
+                                                Iterable[np.ndarray]],
                               k: int,
                               workers: int | None = None) -> tuple[float, ...]:
     """Several sums sharing one traversal of ``1..k``, one total per column.
 
     ``pair_fn`` maps an int64 index array to a tuple of term arrays (two
     for a cosine/sine pair) that reuse common work (one log per index,
-    typically).  Chunking and combine order follow ``chunked_parallel_sum``
+    typically), or yields them one at a time; each array is reduced before
+    the next is asked for, so a generator keeps few alive.  Chunking and combine order follow ``chunked_parallel_sum``
     exactly, column by column, so each total is bit-identical to a
     ``chunked_parallel_sum`` of that column alone.  At ``k = 0`` no chunk
     runs, so ``pair_fn`` is called once on an empty index array to learn
     the column count, and every total is 0.0.
     """
     totals = _chunked_fsum(pair_fn, k, workers)
-    return totals or (0.0,) * len(pair_fn(np.arange(1, 1, dtype=np.int64)))
+    empty = np.arange(1, 1, dtype=np.int64)
+    return totals or tuple(0.0 for _ in pair_fn(empty))

@@ -14,11 +14,12 @@ self-documenting.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
-from .errors import DomainError
-from .fixedpoint import f_of_t
-from .series import gamma_estimates
+from .errors import CatalogError, DomainError, SingularGuardError
+from .fixedpoint import _f_values, f_of_t
+from .series import GammaEstimate, _gamma_pairs, gamma_estimates
 from .zeros import ZeroCatalog, ZetaZero, builtin_catalog, get_zero
 
 TABLE_IDS = ("T1", "T2", "T3", "T4", "T5", "T6")
@@ -81,6 +82,10 @@ REF_ZERO_BY_Q = {
 }
 
 
+class OffDomainRowWarning(UserWarning):
+    """A zero-map row whose f map left its domain; its value cells are empty."""
+
+
 @dataclass(frozen=True)
 class TableSpec:
     """Which table to reproduce, with optional k / zero-index overrides.
@@ -104,18 +109,28 @@ def _dev(value: float, ref: float | None) -> float | None:
     return None if ref is None else abs(value - ref)
 
 
-def _cells(gamma: bool, zero: ZetaZero, k: int,
-           ref: tuple[float, float] | float | None) -> dict:
-    # One row's value and deviation cells: the gamma pair (ref a
-    # (type1, type2) pair) or the f map (ref a float); ref is None off the
-    # reference grid.
-    if not gamma:
-        v = f_of_t(zero.t, k)
-        return {"zero_estimate": v, "dev": _dev(v, ref)}
-    g1, g2 = (g.value for g in gamma_estimates(zero.t, k, q=zero.q))
+def _gamma_cells(pair: tuple[GammaEstimate, GammaEstimate],
+                 ref: tuple[float, float] | None) -> dict:
+    g1, g2 = (g.value for g in pair)
     ref1, ref2 = (None, None) if ref is None else ref
     return {"gamma_type1": g1, "gamma_type2": g2,
             "dev_type1": _dev(g1, ref1), "dev_type2": _dev(g2, ref2)}
+
+
+def _zero_cells(value: float | SingularGuardError, ref: float | None,
+                row: str) -> dict:
+    # A row whose f map left its domain keeps empty cells and a warning.
+    if isinstance(value, SingularGuardError):
+        warnings.warn(f"{row}: {value}", OffDomainRowWarning)
+        return {"zero_estimate": None, "dev": None}
+    return {"zero_estimate": value, "dev": _dev(value, ref)}
+
+
+def _f_or_guard(t: float, k: int) -> float | SingularGuardError:
+    try:
+        return f_of_t(t, k)
+    except SingularGuardError as exc:
+        return exc
 
 
 def build_table(spec: TableSpec, catalog: ZeroCatalog | None = None
@@ -125,7 +140,14 @@ def build_table(spec: TableSpec, catalog: ZeroCatalog | None = None
 
     Gamma tables carry columns (gamma_type1, gamma_type2, dev_type1,
     dev_type2); zero-map tables carry (zero_estimate, dev).  Deviation
-    cells are None wherever the row falls outside the reference grid.
+    cells are None wherever the row falls outside the reference grid.  A
+    zero-map row whose f map leaves its domain (``SingularGuardError``)
+    keeps its k or q and t_q cells, gets None value cells, and issues an
+    ``OffDomainRowWarning`` naming the row and the guard's message.
+
+    T1/T4 evaluate each k on its own.  T2/T3/T5/T6 evaluate the whole
+    zero list in one traversal of n = 1..k, so H_k, log n and n^-1/2 are
+    shared by every row; the values are bit-identical to per-zero calls.
     """
     if catalog is None:
         catalog = builtin_catalog()
@@ -133,20 +155,43 @@ def build_table(spec: TableSpec, catalog: ZeroCatalog | None = None
     gamma = tid in ("T1", "T2", "T3")
     columns = (("gamma_type1", "gamma_type2", "dev_type1", "dev_type2")
                if gamma else ("zero_estimate", "dev"))
-    rows: list[dict] = []
+
+    def cells(value, ref, row: str) -> dict:
+        return (_gamma_cells(value, ref) if gamma else
+                _zero_cells(value, ref, f"table {tid} row {row}"))
+
     if tid in ("T1", "T4"):
         if spec.zero_indices is not None and len(spec.zero_indices) != 1:
             raise DomainError(f"table {tid} sweeps k for a single zero; "
                               "pass exactly one zero index")
         zero = get_zero(catalog, spec.zero_indices[0] if spec.zero_indices else 1)
         refs = (REF_GAMMA_SWEEP if gamma else REF_ZERO_SWEEP) if zero.q == 1 else {}
-        for k in (spec.k,) if spec.k is not None else _K_SWEEP:
-            rows.append({"k": k, **_cells(gamma, zero, k, refs.get(k))})
+        ks = (spec.k,) if spec.k is not None else _K_SWEEP
+        values = [gamma_estimates(zero.t, k, q=zero.q) if gamma
+                  else _f_or_guard(zero.t, k) for k in ks]
+        rows = [{"k": k, **cells(value, refs.get(k), f"k={k}")}
+                for k, value in zip(ks, values)]
         return ("k",) + columns, rows
+
     k = spec.k if spec.k is not None else _DEFAULT_K
     refs = (REF_GAMMA_BY_Q if gamma else REF_ZERO_BY_Q) if k == _DEFAULT_K else {}
+
+    def evaluate(zeros: list[ZetaZero]) -> list:
+        if gamma:
+            return _gamma_pairs(k, [(zero.t, zero.q) for zero in zeros])
+        return _f_values([zero.t for zero in zeros], k)
+
     default_q = _Q_FIRST_TEN if tid in ("T2", "T5") else _Q_HIGH
-    for q in spec.zero_indices if spec.zero_indices is not None else default_q:
-        zero = get_zero(catalog, q)
-        rows.append({"q": q, "t_q": zero.t, **_cells(gamma, zero, k, refs.get(q))})
+    qs = spec.zero_indices if spec.zero_indices is not None else default_q
+    zeros: list[ZetaZero] = []
+    for q in qs:
+        try:
+            zeros.append(get_zero(catalog, q))
+        except CatalogError:
+            # Row by row, the rows before a missing zero would have raised
+            # their own errors first (a bad k among them).
+            evaluate(zeros)
+            raise
+    rows = [{"q": q, "t_q": zero.t, **cells(value, refs.get(q), f"q={q}")}
+            for q, zero, value in zip(qs, zeros, evaluate(zeros))]
     return ("q", "t_q") + columns, rows

@@ -253,6 +253,23 @@ def test_tables_q_subset(capsys):
         assert float(row[3]) <= 1e-6
 
 
+def test_tables_off_domain_row_warns_and_exits_0(capsys):
+    # Zero 2 leaves the f map's domain at k = 10 only.
+    code, out, err = run_cli(capsys, "tables", "--id", "T4", "--q", "2")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[1] == ["10", "", ""]
+    assert len(rows) == 6 and all(row[1] for row in rows[2:])
+    assert err.startswith("warning: table T4 row k=10: inverted term ")
+    assert err.endswith(", k=10\n") and err.count("\n") == 1
+
+    code, out, err_json = run_cli(capsys, "tables", "--json", "--id", "T4",
+                                  "--q", "2")
+    assert code == 0 and err_json == err
+    assert json.loads(out)["rows"][0] == {"k": 10, "zero_estimate": None,
+                                          "dev": None}
+
+
 def test_bench_csv_and_cap(capsys):
     code, out, _ = run_cli(capsys, "bench", "--k", "200,400", "--q", "2")
     assert code == 0

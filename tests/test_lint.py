@@ -169,3 +169,57 @@ def test_default_check_flags_a_dead_default():
         "    return f(1, 2, e=5) + obj.g(x=1)\n")
     assert _unpassed_defaults({"m.py": ast.parse(source)}) == {
         ("m.py", "f", "c"), ("m.py", "f", "d")}
+
+
+#: The only functions a process-wide cache may decorate, each with the
+#: reason.  A cached sum would be timed warm by a benchmark that repeats an
+#: op in one process, though a fresh command never is, so sharing work
+#: between sums stays within one call.
+CACHED_ALLOWED = {
+    "_bernoulli_even_rationals": "exact constants, computed once at import",
+    "_em_plan": "head and order depend on sigma alone, no sum is cached",
+}
+
+
+def _caches_outside(tree: ast.Module, allowed) -> list[int]:
+    # Lines that reach functools.cache or functools.lru_cache (as an
+    # attribute or a name imported from functools), except as a decorator
+    # of a function named in ``allowed``.
+    names = ("cache", "lru_cache")
+    exempt = {id(node)
+              for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name in allowed
+              for decorator in fn.decorator_list
+              for node in ast.walk(decorator)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if (isinstance(node, ast.Attribute) and node.attr in names
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"):
+            found.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "functools"
+              and any(alias.name in names for alias in node.names)):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_caches_only_on_allowed_functions(module):
+    lines = _caches_outside(TREES[module], CACHED_ALLOWED)
+    assert not lines, f"{module}: functools cache outside {sorted(CACHED_ALLOWED)} at {lines}"
+
+
+def test_cache_check_flags_a_cached_sum():
+    source = (
+        "import functools\n"
+        "from functools import lru_cache\n"
+        "@functools.cache\n"
+        "def _em_plan(sigma):\n"
+        "    return sigma\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def cached_harmonic(k):\n"
+        "    return partial_zeta(1.0, 0.0, k)\n"
+        "cached_zeta = functools.cache(partial_zeta)\n")
+    assert _caches_outside(ast.parse(source), CACHED_ALLOWED) == [2, 6, 9]

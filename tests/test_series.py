@@ -198,6 +198,34 @@ def test_partial_zeta_alternating_identity():
     check()
 
 
+def test_zero_list_traversal_matches_lone_sums_property():
+    # The zero-list tables take every ordinate's sums from one traversal:
+    # per ordinate the alternating sum at k and the plain sums at k-1 and
+    # k, plus H_k and H_(k-1).  Each must equal a lone partial_zeta bit for
+    # bit, for ordinates above k, repeated ordinates and k at chunk edges.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ordinate = st.one_of(st.floats(0.1, 300.0), st.floats(7.4e4, 7.6e4),
+                         st.sampled_from((T1, T2)))
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(ts=st.lists(ordinate, min_size=1, max_size=4),
+                      k=st.sampled_from((2, 3, 4095, 4096, 4097, 8193)))
+    def check(ts, k):
+        parts = ((1.0, 0.0, False, k), (1.0, 0.0, False, k - 1)) + tuple(
+            (0.5, t, alternating, last) for t in ts + ts[:1]
+            for alternating, last in ((True, k), (False, k - 1), (False, k)))
+        sums = series_module._partial_zeta_direct(k, parts)
+        assert len(sums) == len(parts)
+        for (sigma, t, alternating, last), z in zip(parts, sums):
+            lone = partial_zeta(sigma, t, last, alternating)
+            assert (z.real.hex(), z.imag.hex()) == \
+                (lone.real.hex(), lone.imag.hex()), (sigma, t, alternating, last)
+
+    check()
+
+
 @pytest.mark.parametrize("alternating", [False, True])
 def test_partial_zeta_real_s_has_zero_imaginary_part(alternating):
     z = partial_zeta(0.3, 0.0, 5000, alternating)

@@ -4,6 +4,7 @@ import math
 import random
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -380,6 +381,55 @@ def test_chunked_total_bit_identical_across_chunk_boundaries(make):
     x = make(np.random.default_rng(7), 20_000)
     for chunk in (4095, 8192):
         _assert_bit_identical(x, chunk)
+
+
+@pytest.mark.parametrize("make", ADVERSARIAL, ids=lambda f: f.__name__[1:])
+def test_folded_chunk_totals_bit_identical(make):
+    # At a chunk length of 1 every term is its own chunk total, so the
+    # columns are folded into exact parts over the adversarial values
+    # themselves, again and again.
+    x = make(np.random.default_rng(20_000), 20_000)
+    _assert_bit_identical(x, chunk=1)
+
+
+def test_chunk_totals_are_folded_so_no_column_grows_with_k(monkeypatch):
+    # Four columns of 64-term chunks.  Kept, every chunk total costs about
+    # 32 bytes (a float and its list slot): 4 * 700 * 32 = 90 kB more at
+    # the larger k.  Folded, no column holds more than DEFAULT_CHUNK totals,
+    # so the peak may not grow by even one full column per column.  The
+    # first call at the larger k makes one-off allocations, so it is not
+    # counted.
+    monkeypatch.setattr(summation, "DEFAULT_CHUNK", 64)
+
+    def columns(idx):
+        nf = idx.astype(np.float64)
+        for j in range(4):
+            yield (j + 1.0) / nf
+
+    def peak(k):
+        tracemalloc.start()
+        try:
+            chunked_parallel_pair_sum(columns, k)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(64 * 800)
+    growth = peak(64 * 800) - peak(64 * 100)
+    assert growth < 4 * 64 * 32
+
+
+def test_columns_may_be_yielded():
+    def listed(idx):
+        nf = idx.astype(np.float64)
+        return 1.0 / nf, np.sqrt(nf), -nf
+
+    def yielded(idx):
+        yield from listed(idx)
+
+    for k in (0, 1, 4097, 10_000):
+        assert chunked_parallel_pair_sum(yielded, k) == \
+            chunked_parallel_pair_sum(listed, k)
 
 
 def test_chunked_total_bit_identical_property():

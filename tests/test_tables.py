@@ -2,7 +2,9 @@
 
 import pytest
 
+from zetagamma import series
 from zetagamma import (
+    CatalogError,
     DomainError,
     SingularGuardError,
     TableSpec,
@@ -14,6 +16,7 @@ from zetagamma import (
     get_zero,
 )
 from zetagamma.tables import (
+    OffDomainRowWarning,
     REF_GAMMA_BY_Q,
     REF_GAMMA_SWEEP,
     REF_ZERO_BY_Q,
@@ -53,7 +56,8 @@ def _zero_cells(t, k, ref):
 def _expected(tid, k_values=K_SWEEP, q=1, k=100_000, q_values=None):
     # Rows rebuilt from gamma_type1/gamma_type2/f_of_t and the REF_* dicts;
     # ``ref`` is looked up only on the stored grid (q = 1 for the k sweeps,
-    # k = 1e5 for the zero lists).
+    # k = 1e5 for the zero lists).  A row whose f map leaves its domain is
+    # left out.
     if tid in ("T1", "T4"):
         zero = get_zero(CATALOG, q)
         rows = []
@@ -63,7 +67,10 @@ def _expected(tid, k_values=K_SWEEP, q=1, k=100_000, q_values=None):
                 cells = _gamma_cells(zero.t, kk, q, ref)
             else:
                 ref = REF_ZERO_SWEEP.get(kk) if q == 1 else None
-                cells = _zero_cells(zero.t, kk, ref)
+                try:
+                    cells = _zero_cells(zero.t, kk, ref)
+                except SingularGuardError:
+                    continue
             rows.append({"k": kk, **cells})
         return rows
     rows = []
@@ -74,7 +81,10 @@ def _expected(tid, k_values=K_SWEEP, q=1, k=100_000, q_values=None):
             cells = _gamma_cells(zero.t, k, qq, ref)
         else:
             ref = REF_ZERO_BY_Q.get(qq) if k == 100_000 else None
-            cells = _zero_cells(zero.t, k, ref)
+            try:
+                cells = _zero_cells(zero.t, k, ref)
+            except SingularGuardError:
+                continue
         rows.append({"q": qq, "t_q": zero.t, **cells})
     return rows
 
@@ -116,15 +126,67 @@ def test_build_table_matches_direct_calls(spec, expected):
         assert all(v is not None for v in devs)
 
 
+@pytest.mark.parametrize("spec, traversals", [
+    (TableSpec("T1"), 5), (TableSpec("T1", k=1000), 1),
+    (TableSpec("T4"), 10), (TableSpec("T4", k=100, zero_indices=(2,)), 2),
+    (TableSpec("T2"), 1), (TableSpec("T2", k=1000), 1),
+    (TableSpec("T3"), 1), (TableSpec("T3", zero_indices=(100, 1000)), 1),
+    (TableSpec("T5"), 1), (TableSpec("T5", k=1000, zero_indices=(1, 3)), 1),
+    (TableSpec("T6"), 1),
+], ids=lambda v: f"{v.table_id}-k{v.k}-q{v.zero_indices}"
+    if isinstance(v, TableSpec) else str(v))
+def test_traversals_per_table(monkeypatch, spec, traversals):
+    # One traversal of n = 1..k per zero-list table, one per T1 row (both
+    # gamma estimators), two per T4 row (f_of_t's sum and its diagonal).
+    calls = []
+    pair_sum = series.chunked_parallel_pair_sum
+
+    def counted(pair_fn, k):
+        calls.append(k)
+        return pair_sum(pair_fn, k)
+
+    monkeypatch.setattr(series, "chunked_parallel_pair_sum", counted)
+    build_table(spec)
+    assert len(calls) == traversals
+
+
 def test_build_table_sweep_override_on_grid_keeps_deviations():
     header, rows = build_table(TableSpec("T4", k=100, zero_indices=(1,)))
     assert rows == _expected("T4", k_values=(100,))
     assert rows[0]["dev"] is not None
 
 
-def test_build_table_f_map_guard_propagates():
-    with pytest.raises(SingularGuardError, match="k=10$"):
-        build_table(TableSpec("T4", zero_indices=(2,)))
+@pytest.mark.parametrize("spec, off_domain, expected", [
+    # Zero 2 leaves the f map's domain at k = 10, in the sweep and in a list.
+    (TableSpec("T4", zero_indices=(2,)), "k=10", lambda: _expected("T4", q=2)),
+    (TableSpec("T5", k=10, zero_indices=(2, 1)), "q=2",
+     lambda: _expected("T5", k=10, q_values=(1,))),
+], ids=["T4-sweep", "T5-list"])
+def test_build_table_off_domain_row_keeps_cells_and_warns(spec, off_domain,
+                                                          expected):
+    with pytest.warns(OffDomainRowWarning) as record:
+        header, rows = build_table(spec)
+    with pytest.raises(SingularGuardError) as guard:
+        f_of_t(get_zero(CATALOG, 2).t, 10)
+    assert [str(w.message) for w in record] == \
+        [f"table {spec.table_id} row {off_domain}: {guard.value}"]
+    key, value = off_domain.split("=")
+    (bad,) = [row for row in rows if row[key] == int(value)]
+    assert bad["zero_estimate"] is None and bad["dev"] is None
+    if key == "q":
+        assert bad["t_q"] == get_zero(CATALOG, 2).t
+    assert [row for row in rows if row is not bad] == [
+        row for row in expected() if row[key] != int(value)]
+
+
+@pytest.mark.parametrize("tid", ["T2", "T5"])
+def test_zero_list_errors_keep_row_order(tid):
+    # A bad k fails the first row before a missing later zero is looked
+    # up; a missing first zero is reported before any sum.
+    with pytest.raises(DomainError, match="k must be >= 2"):
+        build_table(TableSpec(tid, k=1, zero_indices=(1, 10**9)))
+    with pytest.raises(CatalogError, match="not in catalog"):
+        build_table(TableSpec(tid, k=1, zero_indices=(10**9, 1)))
 
 
 @pytest.mark.parametrize("tid", ["T1", "T4"])

@@ -21,12 +21,13 @@ from .errors import DomainError, SingularGuardError
 from .series import (
     EULER_GAMMA,
     SeriesParams,
-    _cos_msin,
+    _half_angle,
     _offdiag,
     _partial_zeta_direct,
     offdiag_factorized,
+    partial_zeta,
 )
-from .summation import _check_positive_int, chunked_parallel_sum
+from .summation import _PLAIN, _check_positive_int, chunked_parallel_sum
 
 #: Guard on |sin(t log k)| and |cos(t log k)| in the g map; the cot and
 #: sec factors amplify roundoff without bound near their poles.
@@ -82,6 +83,12 @@ def f_of_t(t: float, k: int) -> float:
     return _f_formula(t, k, off)
 
 
+def _f_step(t: float, k: int, diag: complex) -> float:
+    # f_of_t(t, k), bit for bit, with its diagonal H_k = diag summed by the
+    # caller, so that a run of f steps at one k sums H_k once.
+    return _f_formula(t, k, _offdiag(partial_zeta(0.5, t, k), diag))
+
+
 def _check_t(t: float) -> None:
     if not (0.0 < t < math.inf):
         raise DomainError("t must be finite and positive")
@@ -113,7 +120,7 @@ def _f_values(ts: Sequence[float], k: int
         _check_t(t)
     k = _check_positive_int(k, "k", minimum=2)
     diag, *sums = _partial_zeta_direct(
-        k, ((1.0, 0.0, False, k), *((0.5, t, False, k) for t in ts)))
+        k, ((1.0, 0.0, _PLAIN), *((0.5, t, _PLAIN) for t in ts)))
     values: list[float | SingularGuardError] = []
     for t, z in zip(ts, sums):
         try:
@@ -144,11 +151,12 @@ def g_of_t(t: float, k: int) -> float:
             f"t log k = {x!r} sits within {SINGULARITY_EPS} of a trig pole "
             f"(|sin|={abs(s):.3e}, |cos|={abs(c):.3e})")
     # Only Re S(1/2 + it, k) is needed: a cosine-only sum skips the sine
-    # column and its reduction, and takes 0.60-0.68 of the time of
-    # partial_zeta(...).real, so g keeps its own callback.
+    # column, its reduction and the sine half of the kernel, and takes
+    # 0.60-0.68 of the time of partial_zeta(...).real, so g keeps its own
+    # callback.
     def cos_terms(idx: np.ndarray) -> np.ndarray:
         nf = idx.astype(np.float64)
-        cos, _ = _cos_msin(t, np.log(nf))
+        cos, _, _ = _half_angle(t, np.log(nf))
         cos /= np.sqrt(nf)
         return cos
 
@@ -174,13 +182,17 @@ def iterate_fixed_point(map: FixedPointMap, y0: float, k: int,
     status = FixedPointStatus.MAX_ITERS
     residual: float | None = None
     upper = 10.0 * y0
+    if map is FixedPointMap.F_MAP:
+        # k is fixed for the run, so the f map's diagonal H_k is summed once.
+        k = _check_positive_int(k, "k", minimum=2)
+        diag = partial_zeta(1.0, 0.0, k)
     for _ in range(max_iters):
         prev = iterates[-1]
         try:
             if map is FixedPointMap.G_MAP:
                 y = g_of_t(prev, k)
             else:
-                y = f_of_t(prev, k)
+                y = _f_step(prev, k, diag)
         except SingularGuardError:
             status = FixedPointStatus.SINGULAR_GUARD
             break

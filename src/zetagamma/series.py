@@ -32,10 +32,13 @@ checked against the brute-force oracle ``offdiag_naive``;
 
 A list of zeros at one k shares that traversal too (the zero-list tables
 T2/T3/T5/T6): the diagonals H_k and H_(k-1) do not depend on the zero and
-are summed once, and each chunk takes log n and n^-1/2 (with its
-alternating copy) once for all zeros and the trig factors once per
-ordinate.  Every sum still gets its own correctly rounded reduction, so
-each value is bit-identical to a call for that zero alone.
+are summed once, and each chunk takes log n and n^-1/2 once for all zeros
+and the trig factors once per ordinate.  The alternating sum at k and the
+plain sum at k-1 of one zero share each unsigned trig column: the chunked
+sum reduces it exactly once and reads both totals off that reduction
+(see :mod:`zetagamma.summation`), and H_k and H_(k-1) likewise.  Every
+sum is still correctly rounded from its own exact total, so each value is
+bit-identical to a call for that zero alone.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ import numpy as np
 from .errors import DomainError, OracleCapError
 from .summation import (
     MAX_DIRECT_K,
+    _PLAIN,
     _check_positive_int,
     chunked_parallel_pair_sum,
     chunked_parallel_sum,
@@ -149,26 +153,21 @@ _EM_COEFFS = tuple(float(b / math.factorial(2 * j)) for j, b in
 _EM_TOL = 2.0 ** -64
 
 
-def _alternate(idx: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # e_n w_n, e_n = (-1)^n, in place.  idx is a run of consecutive
-    # integers, so the odd n sit at every second entry.
-    if idx.size:
-        odd = w[1 - int(idx[0]) % 2::2]
-        np.negative(odd, out=odd)
-    return w
-
-
 def _n_pow(idx: np.ndarray, sigma: float,
            alternating: bool = False) -> np.ndarray:
     # e_n n^-sigma: 1/sqrt(n) at sigma = 1/2 (nf ** -1.0 is bit-identical to
-    # 1/nf), negated at odd n when alternating.
+    # 1/nf), negated at odd n when alternating.  idx is a run of consecutive
+    # integers, so the odd n sit at every second entry.
     nf = idx.astype(np.float64)
     w = 1.0 / np.sqrt(nf) if sigma == 0.5 else nf ** -sigma
-    return _alternate(idx, w) if alternating else w
+    if alternating and idx.size:
+        w[1 - int(idx[0]) % 2::2] *= -1.0
+    return w
 
 
-def _cos_msin(t: float, log_n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # cos(x) and -sin(x) at x = t log n, from u = tan(x/2) (see the module
+def _half_angle(t: float, log_n: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # cos(x), u = tan(x/2) and 1 + u^2 at x = t log n (see the module
     # docstring for the cost and the error bound).  x is rounded once, as a
     # direct cos(t log n) would round it, and halved exactly, so it
     # overflows at the same t and n.  A non-finite x gives nan without a
@@ -181,53 +180,58 @@ def _cos_msin(t: float, log_n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         den = cos + 1.0
         np.subtract(1.0, cos, out=cos)
         cos /= den
-        u *= -2.0
-        u /= den
+    return cos, u, den
+
+
+def _cos_msin(t: float, log_n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # cos(x) and -sin(x) = -2u/(1 + u^2) at x = t log n, from _half_angle.
+    # These two steps raise no numpy warning, so they need no errstate: u is
+    # nan or below 2^62 in magnitude (no binary64 argument comes closer to a
+    # pole of tan; the nearest is 6381956970095103 * 2^797, with tan about
+    # -2.1e18), and den = 1 + u^2 >= 1 or nan.
+    cos, u, den = _half_angle(t, log_n)
+    u *= -2.0
+    u /= den
     return cos, u
 
 
-def _partial_zeta_direct(k: int, parts: tuple[tuple[float, float, bool, int], ...]
-                         ) -> list[complex]:
-    # S(sigma + it, last) with e_n = (-1)^n or 1 for each
-    # (sigma, t, alternating, last) in parts, last <= k, from one traversal
-    # of n = 1..k.  Per chunk, log n is taken once, n^-sigma once per sigma,
-    # each weight e_n n^-sigma (zeroed for n > last) once per (sigma,
-    # alternating, last), and the trig factors (_cos_msin) once per run of
-    # parts sharing t, dropped when t changes.  Columns are yielded one at a
-    # time, so the chunked sum reduces each before the next is made.  At
-    # t == 0 only the real part is summed.
+def _partial_zeta_direct(
+        k: int, parts: Sequence[tuple[float, float, tuple[tuple[bool, bool], ...]]]
+) -> list[complex]:
+    # S(sigma + it, k), or S(sigma + it, k - 1) when drop_last, with
+    # e_n = (-1)^n when alternating, else 1, for each (alternating,
+    # drop_last) variant of each (sigma, t, variants) in parts, in order,
+    # from one traversal of n = 1..k.  Per chunk, log n is taken once,
+    # n^-sigma once per sigma, and the trig factors (_cos_msin) once per run
+    # of parts sharing t, dropped when t changes.  Each part yields its
+    # unsigned terms once per trig column, with its variants: the chunked
+    # sum signs them and drops the n = k term, from one reduction per
+    # column.  Columns are yielded one at a time, so each is reduced before
+    # the next is made.  At t == 0 only the real part is summed.
     def columns(idx: np.ndarray):
         powers: dict[float, np.ndarray] = {}
-        weights: dict[tuple[float, bool, int], np.ndarray] = {}
         log_n = trig = trig_t = None
-        for sigma, t, alternating, last in parts:
-            key = (sigma, alternating, last)
-            if key not in weights:
-                if sigma not in powers:
-                    powers[sigma] = _n_pow(idx, sigma)
-                w = powers[sigma]
-                cut = last < k and idx[-1] > last
-                if alternating or cut:
-                    w = w.copy()
-                    if alternating:
-                        _alternate(idx, w)
-                    if cut:
-                        w[idx > last] = 0.0
-                weights[key] = w
-            w = weights[key]
+        for sigma, t, variants in parts:
+            if sigma not in powers:
+                powers[sigma] = _n_pow(idx, sigma)
+            w = powers[sigma]
             if t == 0.0:
-                yield w
+                yield w, variants
                 continue
             if t != trig_t:
                 if log_n is None:
                     log_n = np.log(idx.astype(np.float64))
                 trig, trig_t = _cos_msin(t, log_n), t
-            yield trig[0] * w
-            yield trig[1] * w
+            yield trig[0] * w, variants
+            yield trig[1] * w, variants
 
     totals = iter(chunked_parallel_pair_sum(columns, k))
-    return [complex(next(totals), 0.0 if t == 0.0 else next(totals))
-            for _, t, _, _ in parts]
+    sums: list[complex] = []
+    for _, t, variants in parts:
+        real = [next(totals) for _ in variants]
+        imag = [0.0 if t == 0.0 else next(totals) for _ in variants]
+        sums += map(complex, real, imag)
+    return sums
 
 
 def _em_tail(s: float | complex, x: float, order: int) -> float | complex:
@@ -289,7 +293,7 @@ def _partial_zeta_em(sigma: float, k: int) -> float:
         integral = log_ratio
     else:
         integral = n ** u * math.expm1(u * log_ratio) / u
-    (head_sum,) = _partial_zeta_direct(head, ((sigma, 0.0, False, head),))
+    (head_sum,) = _partial_zeta_direct(head, ((sigma, 0.0, _PLAIN),))
     return compensated_sum((head_sum.real, integral,
                             _em_tail(sigma, n, terms + 1),
                             -_em_tail(sigma, end, terms + 1)))
@@ -317,7 +321,7 @@ def partial_zeta(sigma: float, t: float, k: int,
         raise DomainError("sigma must be finite")
     if k > MAX_DIRECT_K and t == 0.0 and not alternating and sigma > 0.0:
         return complex(_partial_zeta_em(sigma, k), 0.0)
-    (z,) = _partial_zeta_direct(k, ((sigma, t, alternating, k),))
+    (z,) = _partial_zeta_direct(k, ((sigma, t, ((alternating, False),)),))
     return z
 
 
@@ -490,9 +494,10 @@ def gamma_estimates(t_q: float, k: int, q: int | None = None
     from one traversal of n = 1..k.
 
     The traversal yields the alternating sum at k, the plain sum at k-1
-    and the diagonals H_k and H_(k-1) (the n = k term zeroed in the sums
-    at k-1) from one evaluation of n^-1/2, log, cos and sin per n; each
-    column keeps its own correctly rounded reduction.
+    and the diagonals H_k and H_(k-1) from one evaluation of n^-1/2, log,
+    cos and sin per n.  Each trig column and the diagonal is reduced
+    exactly once; the signed, whole and cut totals are read off that
+    reduction, each correctly rounded from its own exact total.
     """
     return _gamma_pairs(k, ((t_q, q),))[0]
 
@@ -501,16 +506,16 @@ def _gamma_pairs(k: int, zeros: Sequence[tuple[float, int | None]]
                  ) -> list[tuple[GammaEstimate, GammaEstimate]]:
     # gamma_estimates(t_q, k, q) for each (t_q, q) in zeros, bit for bit,
     # from one traversal of n = 1..k shared by every zero: H_k and H_(k-1)
-    # are summed once, and log n and n^-1/2 (with its alternating copy)
-    # are evaluated once per n for all zeros.  No zeros, no sum.
+    # are summed once, log n and n^-1/2 are evaluated once per n for all
+    # zeros, and each zero's trig columns are reduced once for both of its
+    # sums.  No zeros, no sum.
     params = [(_gamma_params(t_q, k), q) for t_q, q in zeros]
     if not params:
         return []
     k = params[0][0].k
     diag, diag_prev, *sums = _partial_zeta_direct(k, (
-        (1.0, 0.0, False, k), (1.0, 0.0, False, k - 1),
-        *((0.5, p.t, alternating, last) for p, _ in params
-          for alternating, last in ((True, k), (False, k - 1)))))
+        (1.0, 0.0, ((False, False), (False, True))),
+        *((0.5, p.t, ((True, False), (False, True))) for p, _ in params)))
     return [(_type1(_offdiag(alt, diag), p, q),
              _type2(_offdiag(plain, diag_prev), p, q))
             for (p, q), alt, plain in zip(params, sums[::2], sums[1::2])]

@@ -34,6 +34,23 @@ rounds, so a chunk total is exactly ``math.fsum`` of its terms.  A chunk
 whose ``sigma`` would exceed ``2^1023`` (some ``|x_i| >= 2^(1023 - M)``)
 goes to ``fsum`` term by term instead.
 
+One extraction serves several sums of the same terms.  Every ``q`` of a
+pass is a multiple of the unit ``2^-53 sigma``, and ``sum|q| <= n 2^-M
+sigma < sigma``, so the sum of any subset of a pass, with any signs, is a
+multiple of that unit below ``sigma`` in magnitude: exact.  The passes
+can therefore keep the even and the odd ``n`` apart (``q[0::2].sum()``,
+``q[1::2].sum()``), and the plain total of the chunk is ``fsum`` of both,
+the alternating total (``(-1)^n x_n``) ``fsum`` of the even minus the odd
+ones.  A sum cut at ``k - 1`` adds ``-x_k`` in the last chunk, which
+leaves the exact total, and so its rounding, as if ``x_k`` had never been
+summed.  Each of these is exactly ``math.fsum`` of that sum's own chunk
+terms.  A callback item of ``chunked_parallel_pair_sum`` may therefore be
+``(terms, variants)``: each ``(alternating, drop_last)`` variant is one
+column.  Terms of one sign are signed in a copy and summed whole; only an
+array that needs both signs pays for the split (two strided sums per pass
+in place of one contiguous sum, 3.6 against 2.0 us at 4096 terms on a
+2-vCPU x86 host).
+
 A chunked total is the correctly rounded sum of correctly rounded chunk
 totals, so it can differ from a flat ``compensated_sum`` of the same terms
 in the last place; determinism for the fixed chunking is the contract.
@@ -116,43 +133,90 @@ def compensated_sum(terms: Iterable[float] | np.ndarray) -> float:
     return _fsum([float(x) for x in terms])
 
 
-def _exact_parts(values) -> list[float] | None:
-    # Floats whose exact sum is the exact sum of ``values``: the
-    # extraction's pass totals (see the module docstring), or None where
-    # some |value| is too close to overflow for a pass.  The passes
-    # overwrite x, so it is a copy of the caller's values.
-    x = np.array(values, dtype=np.float64).ravel()
+#: The variants of a plain column: every term, unsigned.
+_PLAIN = ((False, False),)
+
+
+def _exact_parts(x: np.ndarray, split: bool) -> list[float] | None:
+    # Floats whose exact sum is the exact sum of x: the extraction's pass
+    # totals (see the module docstring), or None where some |x_i| is too
+    # close to overflow for a pass.  With ``split`` each pass gives two, the
+    # totals of the even and of the odd positions, so parts[0::2] and
+    # parts[1::2] sum exactly to x[0::2] and x[1::2], as x.tolist() would.
+    # x is left as it is: the first pass writes what is left of it to a new
+    # array, and the later passes overwrite that one.
     m = x.size.bit_length()
-    q = np.empty_like(x)
-    mu = float(np.abs(x, out=q).max(initial=0.0))
+    q = np.abs(x)
+    mu = float(q.max(initial=0.0))
     if not math.isfinite(mu):
         raise DomainError("non-finite term in summation input")
     if math.frexp(mu)[1] + m > 1023:
         return None
     parts: list[float] = []
+    rest = x
     while mu:
         sigma = math.ldexp(1.0, math.frexp(mu)[1] + m)
-        np.add(x, sigma, out=q)
+        np.add(rest, sigma, out=q)
         q -= sigma
-        x -= q
-        parts.append(float(q.sum()))
-        mu = float(np.abs(x, out=q).max())
+        rest = np.subtract(rest, q, out=None if rest is x else rest)
+        if split:
+            parts += (float(q[0::2].sum()), float(q[1::2].sum()))
+        else:
+            parts.append(float(q.sum()))
+        mu = float(np.abs(rest, out=q).max())
     return parts
 
 
-def _chunk_total(terms: np.ndarray) -> float:
-    # Exactly math.fsum of the terms: the exact parts, then one fsum.
-    parts = _exact_parts(terms)
+def _variant_totals(values, variants: tuple[tuple[bool, bool], ...],
+                    start: int, cut: bool) -> list[float]:
+    # One total of the chunk terms ``values`` (at n = start, start + 1, ...)
+    # per (alternating, drop_last) variant, each exactly math.fsum of the
+    # terms e_n x_n (e_n = (-1)^n when alternating, else 1), without the last
+    # one when drop_last and the chunk ends the range (``cut``).  One
+    # extraction serves every variant: terms of one sign are signed in a
+    # copy and summed whole; with both signs each pass sums the even and the
+    # odd positions apart, and each variant adds the two with its sign.  A
+    # dropped term is subtracted, which leaves the exact total, and so its
+    # rounding, as if the term had never been summed.
+    x = np.asarray(values, dtype=np.float64).ravel()
+    odd = 1 - start % 2  # position of the first odd n
+    # A lone variant (most columns) skips building the set of signs.
+    both = len(variants) > 1 and len({alt for alt, _ in variants}) == 2
+    if variants[0][0] and not both:
+        x = x.copy()
+        np.negative(x[odd::2], out=x[odd::2])
+    parts = _exact_parts(x, both)
     if parts is None:
-        parts = np.asarray(terms, dtype=np.float64).ravel().tolist()
-    return _fsum(parts)
+        parts = x.tolist()
+    if not (both or cut):
+        # One sign and no term to drop: every variant has the same total.
+        return [_fsum(parts)] * len(variants)
+    last = float(x[-1]) if cut else 0.0
+    last_odd = (x.size - 1) % 2 == odd
+    # The parts whose signs are settled, and those of the odd n, which each
+    # variant signs itself when the terms need both signs.
+    settled, odd_n = (parts[1 - odd::2], parts[odd::2]) if both else (parts, [])
+    totals = []
+    for alternating, drop_last in variants:
+        flip = both and alternating
+        terms = settled + ([-v for v in odd_n] if flip else odd_n)
+        if drop_last and cut:
+            terms.append(last if flip and last_odd else -last)
+        totals.append(_fsum(terms))
+    return totals
 
 
-def _chunked_fsum(block_fn: Callable[[np.ndarray], Iterable[np.ndarray]],
+def _columns(item) -> tuple[np.ndarray, tuple[tuple[bool, bool], ...]]:
+    # A callback item: a term array (one plain column) or (terms, variants).
+    return item if isinstance(item, tuple) else (item, _PLAIN)
+
+
+def _chunked_fsum(block_fn: Callable[[np.ndarray], Iterable],
                   k: int, workers: int | None) -> tuple[float, ...]:
-    # ``block_fn`` maps one chunk's indices to its term arrays, one per
-    # column, and may yield them: each is reduced as soon as it arrives, so
-    # a chunk keeps few arrays alive whatever the column count.  Once a
+    # ``block_fn`` maps one chunk's indices to its items, each a term array
+    # or (terms, variants), and may yield them: each is reduced as soon as
+    # it arrives, so a chunk keeps few arrays alive whatever the column
+    # count.  Every variant of an item is one column, in order.  Once a
     # column holds ``DEFAULT_CHUNK`` chunk totals they are replaced by their
     # exact parts (a few floats), so no column grows with k; the final fsum
     # still rounds the exact total once.  The next fold waits until the
@@ -168,18 +232,23 @@ def _chunked_fsum(block_fn: Callable[[np.ndarray], Iterable[np.ndarray]],
     totals: list[list[float]] = []
     fold_at: list[int] = []
     for lo in range(1, k + 1, chunk):
-        idx = np.arange(lo, min(lo + chunk, k + 1), dtype=np.int64)
-        for i, terms in enumerate(block_fn(idx)):
-            if i == len(totals):
-                totals.append([])
-                fold_at.append(chunk)
-            column = totals[i]
-            column.append(_chunk_total(terms))
-            if len(column) >= fold_at[i]:
-                parts = _exact_parts(column)
-                if parts is not None:
-                    column[:] = parts
-                fold_at[i] = max(chunk, 2 * len(column))
+        hi = min(lo + chunk, k + 1)
+        idx = np.arange(lo, hi, dtype=np.int64)
+        i = 0
+        for item in block_fn(idx):
+            terms, variants = _columns(item)
+            for total in _variant_totals(terms, variants, lo, hi > k):
+                if i == len(totals):
+                    totals.append([])
+                    fold_at.append(chunk)
+                column = totals[i]
+                column.append(total)
+                if len(column) >= fold_at[i]:
+                    parts = _exact_parts(np.asarray(column), False)
+                    if parts is not None:
+                        column[:] = parts
+                    fold_at[i] = max(chunk, 2 * len(column))
+                i += 1
     return tuple(_fsum(column) for column in totals)
 
 
@@ -194,25 +263,33 @@ def chunked_parallel_sum(term_fn: Callable[[np.ndarray], np.ndarray],
     in ascending order.  ``workers`` is validated but does not change the
     result or the thread count.
     """
-    totals = _chunked_fsum(lambda idx: (term_fn(idx),), k, workers)
+    totals = _chunked_fsum(lambda idx: ((term_fn(idx), _PLAIN),), k,
+                           workers)
     return totals[0] if totals else 0.0
 
 
-def chunked_parallel_pair_sum(pair_fn: Callable[[np.ndarray],
-                                                Iterable[np.ndarray]],
+def chunked_parallel_pair_sum(pair_fn: Callable[[np.ndarray], Iterable],
                               k: int,
                               workers: int | None = None) -> tuple[float, ...]:
     """Several sums sharing one traversal of ``1..k``, one total per column.
 
-    ``pair_fn`` maps an int64 index array to a tuple of term arrays (two
-    for a cosine/sine pair) that reuse common work (one log per index,
-    typically), or yields them one at a time; each array is reduced before
-    the next is asked for, so a generator keeps few alive.  Chunking and combine order follow ``chunked_parallel_sum``
-    exactly, column by column, so each total is bit-identical to a
-    ``chunked_parallel_sum`` of that column alone.  At ``k = 0`` no chunk
-    runs, so ``pair_fn`` is called once on an empty index array to learn
-    the column count, and every total is 0.0.
+    ``pair_fn`` maps an int64 index array to its items (two for a
+    cosine/sine pair) that reuse common work (one log per index,
+    typically), returned as a tuple or yielded one at a time; each item is
+    reduced before the next is asked for, so a generator keeps few arrays
+    alive.  An item is a term array, one column, or a pair ``(terms,
+    variants)``: ``variants`` is a tuple of ``(alternating, drop_last)``
+    flags, and each is one column, in order, that sums ``e_n terms_n``
+    (``e_n = (-1)^n`` when alternating, else 1) over ``1..k``, or over
+    ``1..k-1`` when drop_last.  All variants of an item come from one exact
+    reduction per chunk (see the module docstring), and each total is
+    bit-identical to a ``chunked_parallel_sum`` of that column alone,
+    signed and cut explicitly: chunking and combine order follow it
+    exactly, column by column.  At ``k = 0`` no chunk runs, so ``pair_fn``
+    is called once on an empty index array to learn the column count, and
+    every total is 0.0.
     """
     totals = _chunked_fsum(pair_fn, k, workers)
     empty = np.arange(1, 1, dtype=np.int64)
-    return totals or tuple(0.0 for _ in pair_fn(empty))
+    return totals or tuple(0.0 for item in pair_fn(empty)
+                          for _ in _columns(item)[1])

@@ -2,19 +2,24 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from zetagamma import fixedpoint, series, summation
 from zetagamma import (
     EULER_GAMMA,
     DomainError,
     GammaMethod,
     SeriesParams,
     builtin_catalog,
+    f_of_t,
+    g_of_t,
     gamma_type1,
     gamma_type2,
     offdiag_naive,
 )
 from zetagamma.series import gamma_estimates
+from zetagamma.summation import chunked_parallel_sum
 
 T1 = 14.1347251417347
 
@@ -84,3 +89,71 @@ def test_gamma_estimates_validates_like_lone_calls():
                 (T1, True)]:
         with pytest.raises(DomainError):
             gamma_estimates(*bad)
+
+
+def _column(t, trig, alternating, k):
+    # One trig column of S(1/2 + it, k) from the kernel, signed explicitly
+    # ((-1)^n at odd n) when alternating, through the chunked sum at k.
+    def terms(idx):
+        nf = idx.astype(np.float64)
+        x = series._cos_msin(t, np.log(nf))[trig] * (1.0 / np.sqrt(nf))
+        return np.where(idx % 2 == 1, -x, x) if alternating else x
+
+    return chunked_parallel_sum(terms, k)
+
+
+def _estimates_from_columns(t, k):
+    # type1 and type2 built from six separate chunked sums: the alternating
+    # sum and H at k, the plain sum and H cut to k - 1.
+    def off(alternating, last):
+        re, im = (_column(t, trig, alternating, last) for trig in (0, 1))
+        return re * re + im * im - chunked_parallel_sum(lambda n: 1.0 / n, last)
+
+    return (-off(True, k) - math.log(k),
+            k / (0.25 + t * t) - off(False, k - 1) - math.log(k - 1))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4096, 4097, 8192, 8193])
+def test_estimates_match_signed_and_cut_column_sums(k):
+    # The traversal takes every column of all zeros from one unsigned array
+    # per trig factor, signing and cutting inside the reduction; each value
+    # must equal the columns summed one by one.
+    zeros = [(_zero_t(q), q) for q in (1, 2, 100, 100_000)]
+    expected = [[v.hex() for v in _estimates_from_columns(t, k)]
+                for t, _ in zeros]
+    assert [[e.value.hex() for e in gamma_estimates(t, k)]
+            for t, _ in zeros] == expected
+    assert [[e.value.hex() for e in pair]
+            for pair in series._gamma_pairs(k, zeros)] == expected
+
+
+@pytest.mark.parametrize("op, calls", [
+    (lambda k: gamma_type1(T1, k), 2),
+    (lambda k: g_of_t(14.2, k), 1),
+    (lambda k: f_of_t(14.2, k), 2),
+], ids=["gamma_type1", "g_of_t", "f_of_t"])
+def test_chunked_sum_calls_per_op(monkeypatch, op, calls):
+    # The benchmark counts the terms of an op through the chunked sums, and
+    # its traced run must equal k per sum: pin the calls, their k and the
+    # indices handed to the callbacks.
+    k = 3000
+    seen, indices = [], []
+
+    def counted(fn):
+        def wrapper(term_fn, k, workers=None):
+            seen.append(k)
+
+            def traced(idx):
+                indices.append(idx.size)
+                return term_fn(idx)
+            return fn(traced, k, workers)
+        return wrapper
+
+    for name in ("chunked_parallel_sum", "chunked_parallel_pair_sum"):
+        original = getattr(summation, name)
+        for module in (summation, series, fixedpoint):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted(original))
+    op(k)
+    assert seen == [k] * calls
+    assert sum(indices) == calls * k

@@ -213,12 +213,15 @@ def test_zero_list_traversal_matches_lone_sums_property():
     @hypothesis.given(ts=st.lists(ordinate, min_size=1, max_size=4),
                       k=st.sampled_from((2, 3, 4095, 4096, 4097, 8193)))
     def check(ts, k):
-        parts = ((1.0, 0.0, False, k), (1.0, 0.0, False, k - 1)) + tuple(
-            (0.5, t, alternating, last) for t in ts + ts[:1]
-            for alternating, last in ((True, k), (False, k - 1), (False, k)))
+        parts = ((1.0, 0.0, ((False, False), (False, True))),) + tuple(
+            (0.5, t, ((True, False), (False, True), (False, False)))
+            for t in ts + ts[:1])
+        flat = [(sigma, t, alternating, k - drop_last)
+                for sigma, t, variants in parts
+                for alternating, drop_last in variants]
         sums = series_module._partial_zeta_direct(k, parts)
-        assert len(sums) == len(parts)
-        for (sigma, t, alternating, last), z in zip(parts, sums):
+        assert len(sums) == len(flat)
+        for (sigma, t, alternating, last), z in zip(flat, sums):
             lone = partial_zeta(sigma, t, last, alternating)
             assert (z.real.hex(), z.imag.hex()) == \
                 (lone.real.hex(), lone.imag.hex()), (sigma, t, alternating, last)

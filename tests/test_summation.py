@@ -448,6 +448,99 @@ def test_chunked_total_bit_identical_property():
     check()
 
 
+def _variant_reference(x, alternating, drop_last, chunk):
+    # The variant spelled out: e_n x_n for n = 1..k (e_n = (-1)^n when
+    # alternating), without n = k when drop_last, in chunks of the same
+    # boundaries, fsum of each chunk's fsum.
+    terms = [-v if alternating and n % 2 else v
+             for n, v in enumerate(x.tolist(), start=1)]
+    return _chunked_reference(np.array(terms[:len(terms) - drop_last]), chunk)
+
+
+def test_variant_totals_bit_identical_property():
+    # Each (alternating, drop_last) variant of a yielded array is its own
+    # column, taken from one extraction: terms of both signs split the
+    # passes by the parity of n.  Chunk lengths 1 and 3 start chunks at odd
+    # and even n (and fold every chunk total at length 1); 4096 holds the
+    # whole range in one chunk.  Magnitudes near 2^1023 leave no room for a
+    # pass, so their chunks take fsum of the signed terms instead.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    value = st.one_of(
+        st.sampled_from((0.0, -0.0, 5e-324, -5e-324)),
+        st.floats(-2.3e-308, 2.3e-308),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-1e3, 1e3),
+        st.floats(8e307, 1.7e308).map(lambda v: v if v < 1.2e308 else -v))
+    variants = st.lists(st.tuples(st.booleans(), st.booleans()),
+                        min_size=1, max_size=4).map(tuple)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(
+        items=st.lists(st.tuples(st.lists(value, min_size=1, max_size=40),
+                                 variants), min_size=1, max_size=3),
+        chunk=st.sampled_from((1, 3, 4096)))
+    def check(items, chunk):
+        k = min(len(values) for values, _ in items)
+        arrays = [(np.array(values[:k]), v) for values, v in items]
+
+        def columns(idx):
+            for x, v in arrays:
+                yield x[idx - 1], v
+
+        expected = [_variant_reference(x, alternating, drop_last, chunk)
+                    for x, v in arrays for alternating, drop_last in v]
+        with mock.patch.object(summation, "DEFAULT_CHUNK", chunk):
+            assert chunked_parallel_pair_sum(columns, 0) == \
+                (0.0,) * len(expected)
+            if None in expected:
+                with pytest.raises(DomainError):
+                    chunked_parallel_pair_sum(columns, k)
+                return
+            got = chunked_parallel_pair_sum(columns, k)
+        assert [g.hex() for g in got] == [e.hex() for e in expected]
+
+    check()
+
+
+def test_chunked_sums_leave_the_callback_arrays_as_they_are():
+    # The callback may hand out views of arrays it keeps (partial_zeta's
+    # weights at t = 0): no variant may write to them.
+    x = np.random.default_rng(3).standard_normal(10_000)
+    kept = x.copy()
+
+    def columns(idx):
+        view = x[idx[0] - 1:idx[-1]]
+        yield view
+        yield view, ((True, False),)
+        yield view, ((True, True), (False, True))
+
+    chunked_parallel_pair_sum(columns, x.size)
+    chunked_parallel_sum(lambda idx: x[idx[0] - 1:idx[-1]], x.size)
+    assert np.array_equal(x, kept)
+
+
+def test_variant_items_mix_with_plain_arrays():
+    # A plain array is one unsigned column; (terms, variants) is one column
+    # per variant, in order.
+    def columns(idx):
+        nf = idx.astype(np.float64)
+        yield 1.0 / nf
+        yield 1.0 / nf, ((True, False), (False, True), (True, True))
+        yield np.sqrt(nf)
+
+    k = 10_001
+    h = [(-1.0) ** n / n for n in range(1, k + 1)]
+    assert chunked_parallel_pair_sum(columns, k) == (
+        chunked_parallel_sum(lambda n: 1.0 / n, k),
+        chunked_parallel_sum(lambda n: np.array(h)[n - 1], k),
+        chunked_parallel_sum(lambda n: 1.0 / n, k - 1),
+        chunked_parallel_sum(lambda n: np.array(h)[n - 1], k - 1),
+        chunked_parallel_sum(np.sqrt, k))
+    assert chunked_parallel_pair_sum(columns, 0) == (0.0,) * 5
+
+
 @pytest.mark.parametrize("alternating", [False, True])
 def test_partial_zeta_pair_sum_matches_per_chunk_reference(alternating):
     # partial_zeta's callback at s = 1/2 + i t1, rebuilt here (its trig

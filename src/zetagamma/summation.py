@@ -8,15 +8,14 @@ exactly rounded total of its binary64 inputs.
 
 * ``compensated_sum`` - correctly rounded total of an explicit term
   sequence.
-* ``chunked_parallel_sum`` / ``chunked_parallel_pair_sum`` - the index
-  range ``1..k`` is cut into chunks of 4096 indices (``DEFAULT_CHUNK``,
-  the only chunk length), each chunk's terms are computed in one
-  vectorized call and summed, and the chunk totals are summed in
-  ascending chunk order.  The second sums several columns of terms from
-  one traversal and returns one total per column; its callback may return
-  the columns or yield them one at a time, and each is reduced as soon as
-  it is produced, so a chunk's live arrays do not grow with the column
-  count.  Sums run on one thread; the ``workers`` count is validated and
+* ``chunked_parallel_sum`` / ``chunked_parallel_pair_sum`` - exactly
+  ``math.fsum`` of the terms at ``n = 1..k``, computed in chunks of
+  ``DEFAULT_CHUNK`` indices by one vectorized call each; the chunk length
+  sets the speed only.  The second sums several columns of terms from one
+  traversal and returns one total per column; its callback may return the
+  columns or yield them one at a time, and each is reduced as soon as it
+  is produced, so a chunk's live arrays do not grow with the column count.
+  Sums run on one thread; the ``workers`` count is validated and
   accepted, but results never depend on it.
 
 A chunk is not handed to ``fsum`` term by term.  It is first reduced
@@ -28,39 +27,33 @@ Sci. Comput. 31(1), 2008, Lemma 3.3): for ``n`` terms ``x`` with
 in any order, and ``|x - q| <= 2^-53 sigma``.  Taking ``sigma`` just
 above ``2^M max|x|``, each pass lowers the bound on ``max|x|`` by a factor
 ``2^(53 - M)``, and a few passes empty the chunk (two for the package's
-own terms at 4096-term chunks, at most 57 seen in tests); ``fsum`` then
-rounds the handful of pass totals.  ``fsum`` stays the only step that
-rounds, so a chunk total is exactly ``math.fsum`` of its terms.  A chunk
-whose ``sigma`` would exceed ``2^1023`` (some ``|x_i| >= 2^(1023 - M)``)
-goes to ``fsum`` term by term instead.
+own terms, at most 57 seen in tests).  The pass totals of every chunk
+join the sum's column, and one ``fsum`` rounds their exact total once at
+the end: the only step that rounds.  A chunk whose ``sigma`` would exceed
+``2^1023`` (some ``|x_i| >= 2^(1023 - M)``) joins it term by term.
 
 One extraction serves several sums of the same terms.  Every ``q`` of a
 pass is a multiple of the unit ``2^-53 sigma``, and ``sum|q| <= n 2^-M
 sigma < sigma``, so the sum of any subset of a pass, with any signs, is a
 multiple of that unit below ``sigma`` in magnitude: exact.  The passes
 can therefore keep the even and the odd ``n`` apart (``q[0::2].sum()``,
-``q[1::2].sum()``), and the plain total of the chunk is ``fsum`` of both,
-the alternating total (``(-1)^n x_n``) ``fsum`` of the even minus the odd
-ones.  A sum cut at ``k - 1`` adds ``-x_k`` in the last chunk, which
-leaves the exact total, and so its rounding, as if ``x_k`` had never been
-summed.  Each of these is exactly ``math.fsum`` of that sum's own chunk
-terms.  A callback item of ``chunked_parallel_pair_sum`` may therefore be
-``(terms, variants)``: each ``(alternating, drop_last)`` variant is one
-column.  Terms of one sign are signed in a copy and summed whole; only an
-array that needs both signs pays for the split (two strided sums per pass
-in place of one contiguous sum, 3.6 against 2.0 us at 4096 terms on a
-2-vCPU x86 host).
+``q[1::2].sum()``): the plain sum takes both as they are, the alternating
+sum (``(-1)^n x_n``) the even minus the odd ones.  A sum cut at ``k - 1``
+adds ``-x_k`` in the last chunk, which leaves the exact total, and so its
+rounding, as if ``x_k`` had never been summed.  A callback item of
+``chunked_parallel_pair_sum`` may therefore be ``(terms, variants)``:
+each ``(alternating, drop_last)`` variant is one column.  Terms of one
+sign are signed in a copy and summed whole; only an array that needs both
+signs pays for the split (two strided sums per pass in place of one
+contiguous sum, 3.6 against 2.0 us at 4096 terms on a 2-vCPU x86 host).
 
-A chunked total is the correctly rounded sum of correctly rounded chunk
-totals, so it can differ from a flat ``compensated_sum`` of the same terms
-in the last place; determinism for the fixed chunking is the contract.
-The chunk totals do not pile up: once a column holds ``DEFAULT_CHUNK`` of
-them, the same extraction folds them into its few exact pass totals, and
-the final ``fsum`` rounds the unchanged exact total once, so folding never
-moves a bit.  Totals too near overflow for the extraction stay unfolded.
+The parts do not pile up: once a column holds ``_FOLD`` floats, the same
+extraction folds them into its few exact pass totals, so folding never
+moves a bit.  Parts too near overflow for the extraction stay unfolded.
 Every sum raises ``DomainError`` on a non-finite term or a total that
-overflows binary64.  The chunked sums take at most ``MAX_DIRECT_K`` terms;
-above that, ``series.partial_zeta`` answers the real diagonal sums by an
+overflows binary64, and returns a finite total even where a partial one
+overflows.  The chunked sums take at most ``MAX_DIRECT_K`` terms; above
+that, ``series.partial_zeta`` answers the real diagonal sums by an
 Euler-Maclaurin route that sums only a short head here.
 """
 
@@ -74,14 +67,18 @@ import numpy as np
 
 from .errors import DomainError
 
-#: Chunk length of the chunked sums, read on every call.  Large enough to
-#: amortize per-call overhead, small enough to stay cache-resident.
-DEFAULT_CHUNK = 4096
+#: Chunk length of the chunked sums, read on every call.  It sets the speed
+#: only; below about 16384 terms numpy's per-call overhead dominates.
+DEFAULT_CHUNK = 16384
+
+#: Column length at which a column's parts are folded, whatever the chunk.
+_FOLD = 4096
 
 #: Largest index range the chunked sums accept.  Every term is computed,
-#: so the runtime grows linearly in k: one gamma estimate takes 7 s at
-#: k = 1e8 on 2 vCPUs, so over a minute at this cap.  The real diagonal
-#: sums of ``series.partial_zeta`` above it take an Euler-Maclaurin route.
+#: so the runtime grows linearly in k: one gamma estimate takes 2.8-2.9 s at
+#: k = 1e8 on 2 vCPUs, so about half a minute at this cap.  The real
+#: diagonal sums of ``series.partial_zeta`` above it take an Euler-Maclaurin
+#: route.
 MAX_DIRECT_K = 10**9
 
 _num_workers = 1
@@ -167,17 +164,17 @@ def _exact_parts(x: np.ndarray, split: bool) -> list[float] | None:
     return parts
 
 
-def _variant_totals(values, variants: tuple[tuple[bool, bool], ...],
-                    start: int, cut: bool) -> list[float]:
-    # One total of the chunk terms ``values`` (at n = start, start + 1, ...)
-    # per (alternating, drop_last) variant, each exactly math.fsum of the
-    # terms e_n x_n (e_n = (-1)^n when alternating, else 1), without the last
-    # one when drop_last and the chunk ends the range (``cut``).  One
-    # extraction serves every variant: terms of one sign are signed in a
-    # copy and summed whole; with both signs each pass sums the even and the
-    # odd positions apart, and each variant adds the two with its sign.  A
-    # dropped term is subtracted, which leaves the exact total, and so its
-    # rounding, as if the term had never been summed.
+def _variant_parts(values, variants: tuple[tuple[bool, bool], ...],
+                   start: int, cut: bool) -> list[list[float]]:
+    # Per (alternating, drop_last) variant, floats whose exact sum is that
+    # of the chunk terms e_n x_n of ``values`` (at n = start, start + 1, ...;
+    # e_n = (-1)^n when alternating, else 1), without the last one when
+    # drop_last and the chunk ends the range (``cut``).  One extraction
+    # serves every variant: terms of one sign are signed in a copy and
+    # summed whole; with both signs each pass sums the even and the odd
+    # positions apart, and each variant takes the two with its sign.  A
+    # dropped term is subtracted, which leaves the exact total as if the
+    # term had never been summed.
     x = np.asarray(values, dtype=np.float64).ravel()
     odd = 1 - start % 2  # position of the first odd n
     # A lone variant (most columns) skips building the set of signs.
@@ -189,21 +186,21 @@ def _variant_totals(values, variants: tuple[tuple[bool, bool], ...],
     if parts is None:
         parts = x.tolist()
     if not (both or cut):
-        # One sign and no term to drop: every variant has the same total.
-        return [_fsum(parts)] * len(variants)
+        # One sign and no term to drop: every variant has the same parts.
+        return [parts] * len(variants)
     last = float(x[-1]) if cut else 0.0
     last_odd = (x.size - 1) % 2 == odd
     # The parts whose signs are settled, and those of the odd n, which each
     # variant signs itself when the terms need both signs.
     settled, odd_n = (parts[1 - odd::2], parts[odd::2]) if both else (parts, [])
-    totals = []
+    signed = []
     for alternating, drop_last in variants:
         flip = both and alternating
         terms = settled + ([-v for v in odd_n] if flip else odd_n)
         if drop_last and cut:
             terms.append(last if flip and last_odd else -last)
-        totals.append(_fsum(terms))
-    return totals
+        signed.append(terms)
+    return signed
 
 
 def _columns(item) -> tuple[np.ndarray, tuple[tuple[bool, bool], ...]]:
@@ -216,20 +213,21 @@ def _chunked_fsum(block_fn: Callable[[np.ndarray], Iterable],
     # ``block_fn`` maps one chunk's indices to its items, each a term array
     # or (terms, variants), and may yield them: each is reduced as soon as
     # it arrives, so a chunk keeps few arrays alive whatever the column
-    # count.  Every variant of an item is one column, in order.  Once a
-    # column holds ``DEFAULT_CHUNK`` chunk totals they are replaced by their
-    # exact parts (a few floats), so no column grows with k; the final fsum
-    # still rounds the exact total once.  The next fold waits until the
-    # column has doubled, which bounds the work when the parts are many (a
-    # tiny chunk length) or when totals near overflow cannot be folded and
-    # stay as they are.  At k = 0 no chunk runs and the result is ().
+    # count.  Every variant of an item is one column, in order, and gains
+    # the chunk's exact parts.  Once a column holds ``_FOLD`` floats they
+    # are replaced by their own exact parts (a few floats), so no column
+    # grows with k; the final fsum rounds the exact total once.  The next
+    # fold waits until the column has doubled, which bounds the work when
+    # the parts are many (a tiny chunk length) or when parts near overflow
+    # cannot be folded and stay as they are.  At k = 0 no chunk runs and the
+    # result is ().
     k = _check_positive_int(k, "k", minimum=0)
     chunk = DEFAULT_CHUNK
     if k > MAX_DIRECT_K:
         raise DomainError(f"k={k} exceeds the direct-sum cap {MAX_DIRECT_K}")
     if workers is not None:
         _check_positive_int(workers, "worker count")
-    totals: list[list[float]] = []
+    columns: list[list[float]] = []
     fold_at: list[int] = []
     for lo in range(1, k + 1, chunk):
         hi = min(lo + chunk, k + 1)
@@ -237,31 +235,32 @@ def _chunked_fsum(block_fn: Callable[[np.ndarray], Iterable],
         i = 0
         for item in block_fn(idx):
             terms, variants = _columns(item)
-            for total in _variant_totals(terms, variants, lo, hi > k):
-                if i == len(totals):
-                    totals.append([])
-                    fold_at.append(chunk)
-                column = totals[i]
-                column.append(total)
+            for parts in _variant_parts(terms, variants, lo, hi > k):
+                if i == len(columns):
+                    columns.append([])
+                    fold_at.append(_FOLD)
+                column = columns[i]
+                column += parts
                 if len(column) >= fold_at[i]:
-                    parts = _exact_parts(np.asarray(column), False)
-                    if parts is not None:
-                        column[:] = parts
-                    fold_at[i] = max(chunk, 2 * len(column))
+                    folded = _exact_parts(np.asarray(column), False)
+                    if folded is not None:
+                        column[:] = folded
+                    fold_at[i] = max(_FOLD, 2 * len(column))
                 i += 1
-    return tuple(_fsum(column) for column in totals)
+    return tuple(_fsum(column) for column in columns)
 
 
 def chunked_parallel_sum(term_fn: Callable[[np.ndarray], np.ndarray],
                          k: int,
                          workers: int | None = None) -> float:
-    """Sum of ``term_fn`` over indices ``1..k`` in 4096-term chunks.
+    """Sum of ``term_fn`` over indices ``1..k``, exactly ``math.fsum`` of
+    all its terms.
 
     ``term_fn`` receives an int64 index array of at most ``DEFAULT_CHUNK``
-    indices and must return the matching float64 term array (vectorized).
-    Each chunk is summed exactly rounded and the chunk totals are combined
-    in ascending order.  ``workers`` is validated but does not change the
-    result or the thread count.
+    consecutive indices and must return the matching float64 term array
+    (vectorized).  Each chunk is reduced exactly and the exact total is
+    rounded once.  ``workers`` is validated but does not change the result
+    or the thread count.
     """
     totals = _chunked_fsum(lambda idx: ((term_fn(idx), _PLAIN),), k,
                            workers)
@@ -283,11 +282,9 @@ def chunked_parallel_pair_sum(pair_fn: Callable[[np.ndarray], Iterable],
     (``e_n = (-1)^n`` when alternating, else 1) over ``1..k``, or over
     ``1..k-1`` when drop_last.  All variants of an item come from one exact
     reduction per chunk (see the module docstring), and each total is
-    bit-identical to a ``chunked_parallel_sum`` of that column alone,
-    signed and cut explicitly: chunking and combine order follow it
-    exactly, column by column.  At ``k = 0`` no chunk runs, so ``pair_fn``
-    is called once on an empty index array to learn the column count, and
-    every total is 0.0.
+    exactly ``math.fsum`` of that column's terms, signed and cut.  At
+    ``k = 0`` no chunk runs, so ``pair_fn`` is called once on an empty
+    index array to learn the column count, and every total is 0.0.
     """
     totals = _chunked_fsum(pair_fn, k, workers)
     empty = np.arange(1, 1, dtype=np.int64)

@@ -72,10 +72,10 @@ def _zero_t(q):
     return next(z.t for z in builtin_catalog().zeros if z.q == q)
 
 
-# k on both sides of the 4096-term chunk boundaries; t from the first, the
-# 100th and the 100000th zero (t ~ 7.5e4 > k).
+# k on both sides of multiples of 4096 and of the default chunk length,
+# 16384; t from the first, the 100th and the 100000th zero (t ~ 7.5e4 > k).
 @pytest.mark.parametrize("q", [1, 100, 100_000])
-@pytest.mark.parametrize("k", [2, 3, 4096, 4097, 4098, 8193])
+@pytest.mark.parametrize("k", [2, 3, 4096, 4097, 4098, 8193, 16384, 16385])
 def test_gamma_estimates_bit_identical_to_lone_calls(k, q):
     t = _zero_t(q)
     pair = gamma_estimates(t, k, q=q)
@@ -113,7 +113,7 @@ def _estimates_from_columns(t, k):
             k / (0.25 + t * t) - off(False, k - 1) - math.log(k - 1))
 
 
-@pytest.mark.parametrize("k", [2, 3, 4096, 4097, 8192, 8193])
+@pytest.mark.parametrize("k", [2, 3, 4096, 4097, 8192, 8193, 16385])
 def test_estimates_match_signed_and_cut_column_sums(k):
     # The traversal takes every column of all zeros from one unsigned array
     # per trig factor, signing and cutting inside the reduction; each value

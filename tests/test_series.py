@@ -211,7 +211,8 @@ def test_zero_list_traversal_matches_lone_sums_property():
     @hypothesis.settings(max_examples=30, deadline=None, derandomize=True,
                          database=None)
     @hypothesis.given(ts=st.lists(ordinate, min_size=1, max_size=4),
-                      k=st.sampled_from((2, 3, 4095, 4096, 4097, 8193)))
+                      k=st.sampled_from((2, 3, 4095, 4096, 4097, 8193,
+                                         16384, 16385)))
     def check(ts, k):
         parts = ((1.0, 0.0, ((False, False), (False, True))),) + tuple(
             (0.5, t, ((True, False), (False, True), (False, False)))

@@ -11,13 +11,15 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from zetagamma import summation
+from zetagamma import series, summation
 from zetagamma import (
     DomainError,
+    builtin_catalog,
     chunked_parallel_pair_sum,
     chunked_parallel_sum,
     compensated_sum,
     get_num_workers,
+    get_zero,
     partial_zeta,
     set_num_workers,
 )
@@ -60,10 +62,11 @@ def test_overflowing_total_rejected():
 @pytest.mark.parametrize("terms, total", [
     ([1e308, 1e308, -1e308], 1e308),
     ([1.7e308, 1.7e308, -1.7e308, -1.7e308, 1.0], 1.0)])
-@pytest.mark.parametrize("chunk", [1, DEFAULT_CHUNK])
+@pytest.mark.parametrize("chunk", [1, 2, 4096, DEFAULT_CHUNK])
 def test_partial_overflow_with_finite_total(terms, total, chunk, monkeypatch):
     # A partial total overflows binary64 on the way; the exact total does not.
-    # Chunk length 1 moves the overflow from a chunk into the chunk combine.
+    # Chunk length 1 moves the overflow from a chunk into the final sum;
+    # at length 2 the first chunk's own total overflows.
     values = np.array(terms)
     assert compensated_sum(terms) == total
     monkeypatch.setattr(summation, "DEFAULT_CHUNK", chunk)
@@ -108,10 +111,10 @@ def test_error_bound_vs_exact_rational(length):
 
 def test_chunked_matches_sequential(monkeypatch):
     k = 10_000
-    flat = compensated_sum(1.0 / np.arange(1, k + 1, dtype=np.float64))
+    flat = math.fsum((1.0 / np.arange(1, k + 1, dtype=np.float64)).tolist())
     monkeypatch.setattr(summation, "DEFAULT_CHUNK", 512)
     chunked = chunked_parallel_sum(lambda n: 1.0 / n, k)
-    assert abs(chunked - flat) <= 1e-14 * abs(flat)
+    assert chunked.hex() == flat.hex()
 
 
 def test_chunked_zero_terms():
@@ -269,17 +272,12 @@ def _fsum_or_none(values):
         return None
 
 
-def _chunked_reference(x, chunk):
-    # fsum of each chunk's fsum, the library's contract spelled out.
-    totals = [_fsum_or_none(x[lo:lo + chunk].tolist())
-              for lo in range(0, len(x), chunk)]
-    return None if None in totals else _fsum_or_none(totals)
-
-
 def _assert_bit_identical(x, chunk):
-    # Also runs inside hypothesis bodies, so it patches the chunk length
-    # with mock rather than with a monkeypatch fixture.
-    expected = _chunked_reference(x, chunk)
+    # The library's contract spelled out: at any chunk length, the chunked
+    # sum is the correctly rounded total of all its terms.  Also runs inside
+    # hypothesis bodies, so it patches the chunk length with mock rather
+    # than with a monkeypatch fixture.
+    expected = _fsum_or_none(x.tolist())
     with mock.patch.object(summation, "DEFAULT_CHUNK", chunk):
         if expected is None:
             with pytest.raises(DomainError):
@@ -393,13 +391,14 @@ def test_folded_chunk_totals_bit_identical(make):
 
 
 def test_chunk_totals_are_folded_so_no_column_grows_with_k(monkeypatch):
-    # Four columns of 64-term chunks.  Kept, every chunk total costs about
-    # 32 bytes (a float and its list slot): 4 * 700 * 32 = 90 kB more at
-    # the larger k.  Folded, no column holds more than DEFAULT_CHUNK totals,
-    # so the peak may not grow by even one full column per column.  The
-    # first call at the larger k makes one-off allocations, so it is not
-    # counted.
+    # Four columns of 64-term chunks, folded at 64 floats.  Kept, every
+    # chunk's parts cost at least 32 bytes (a float and its list slot):
+    # 4 * 700 * 32 = 90 kB more at the larger k.  Folded, no column holds
+    # more than _FOLD floats, so the peak may not grow by even one full
+    # column per column.  The first call at the larger k makes one-off
+    # allocations, so it is not counted.
     monkeypatch.setattr(summation, "DEFAULT_CHUNK", 64)
+    monkeypatch.setattr(summation, "_FOLD", 64)
 
     def columns(idx):
         nf = idx.astype(np.float64)
@@ -448,22 +447,22 @@ def test_chunked_total_bit_identical_property():
     check()
 
 
-def _variant_reference(x, alternating, drop_last, chunk):
-    # The variant spelled out: e_n x_n for n = 1..k (e_n = (-1)^n when
-    # alternating), without n = k when drop_last, in chunks of the same
-    # boundaries, fsum of each chunk's fsum.
+def _variant_reference(x, alternating, drop_last):
+    # The variant spelled out: the correctly rounded total of e_n x_n for
+    # n = 1..k (e_n = (-1)^n when alternating), without n = k when
+    # drop_last, whatever the chunk length.
     terms = [-v if alternating and n % 2 else v
              for n, v in enumerate(x.tolist(), start=1)]
-    return _chunked_reference(np.array(terms[:len(terms) - drop_last]), chunk)
+    return _fsum_or_none(terms[:len(terms) - drop_last])
 
 
 def test_variant_totals_bit_identical_property():
     # Each (alternating, drop_last) variant of a yielded array is its own
     # column, taken from one extraction: terms of both signs split the
     # passes by the parity of n.  Chunk lengths 1 and 3 start chunks at odd
-    # and even n (and fold every chunk total at length 1); 4096 holds the
-    # whole range in one chunk.  Magnitudes near 2^1023 leave no room for a
-    # pass, so their chunks take fsum of the signed terms instead.
+    # and even n; 4096 holds the whole range in one chunk.  Magnitudes near
+    # 2^1023 leave no room for a pass, so their chunks hand the signed terms
+    # to the final fsum instead.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     value = st.one_of(
@@ -489,7 +488,7 @@ def test_variant_totals_bit_identical_property():
             for x, v in arrays:
                 yield x[idx - 1], v
 
-        expected = [_variant_reference(x, alternating, drop_last, chunk)
+        expected = [_variant_reference(x, alternating, drop_last)
                     for x, v in arrays for alternating, drop_last in v]
         with mock.patch.object(summation, "DEFAULT_CHUNK", chunk):
             assert chunked_parallel_pair_sum(columns, 0) == \
@@ -543,12 +542,12 @@ def test_variant_items_mix_with_plain_arrays():
 
 @pytest.mark.parametrize("alternating", [False, True])
 def test_partial_zeta_pair_sum_matches_per_chunk_reference(alternating):
-    # partial_zeta's callback at s = 1/2 + i t1, rebuilt here (its trig
-    # factors from the half-angle tangent u: cos = (1 - u^2)/(1 + u^2),
-    # -sin = -2u/(1 + u^2)), reduced by compensated_sum per 4096-term chunk
-    # and fsum over the chunk totals.
+    # partial_zeta's callback at s = 1/2 + i t1, rebuilt here chunk by chunk
+    # (its trig factors from the half-angle tangent u: cos = (1 - u^2)/
+    # (1 + u^2), -sin = -2u/(1 + u^2)); every term of every chunk goes to
+    # one math.fsum.
     t, k = 14.1347251417347, 300_000
-    re_totals, im_totals = [], []
+    re_terms, im_terms = [], []
     for lo in range(1, k + 1, DEFAULT_CHUNK):
         idx = np.arange(lo, min(lo + DEFAULT_CHUNK, k + 1), dtype=np.int64)
         nf = idx.astype(np.float64)
@@ -557,11 +556,77 @@ def test_partial_zeta_pair_sum_matches_per_chunk_reference(alternating):
             w = np.where((idx & 1) == 1, -w, w)
         u = np.tan(t * np.log(nf) * 0.5)
         den = u * u + 1.0
-        re_totals.append(compensated_sum((1.0 - u * u) / den * w))
-        im_totals.append(compensated_sum(-2.0 * u / den * w))
+        re_terms += ((1.0 - u * u) / den * w).tolist()
+        im_terms += (-2.0 * u / den * w).tolist()
     z = partial_zeta(0.5, t, k, alternating)
-    assert z.real.hex() == math.fsum(re_totals).hex()
-    assert z.imag.hex() == math.fsum(im_totals).hex()
+    assert z.real.hex() == math.fsum(re_terms).hex()
+    assert z.imag.hex() == math.fsum(im_terms).hex()
+
+
+# ----------------- chunk length: speed only, bounded memory -----------------
+
+def _zeros(count):
+    catalog = builtin_catalog()
+    return [(get_zero(catalog, q).t, q) for q in range(1, count + 1)]
+
+
+def test_values_do_not_depend_on_the_chunk_length():
+    # The chunk length sets the speed only: every chunked sum is math.fsum of
+    # all its terms, so partial_zeta and a zero-list traversal give the same
+    # bits at any chunk length.
+    t1, zeros = _zeros(1)[0][0], _zeros(4)
+
+    def values():
+        sums = [partial_zeta(0.5, t1, 300_000, alternating)
+                for alternating in (False, True)]
+        pairs = series._gamma_pairs(100_000, zeros)
+        return ([v.hex() for z in sums for v in (z.real, z.imag)]
+                + [e.value.hex() for pair in pairs for e in pair])
+
+    default = values()
+    for chunk in (1000, 4096):
+        with mock.patch.object(summation, "DEFAULT_CHUNK", chunk):
+            assert values() == default
+
+
+def test_zero_list_traversal_memory_is_bounded():
+    # A T2 traversal (ten zeros, k = 1e5) keeps a chunk's arrays alive one
+    # or two columns at a time and folds each column's parts: its traced
+    # peak stays near a dozen arrays of DEFAULT_CHUNK floats.  The first call
+    # makes one-off allocations, so it is not counted.
+    zeros = _zeros(10)
+    series._gamma_pairs(100_000, zeros)
+    tracemalloc.start()
+    try:
+        series._gamma_pairs(100_000, zeros)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1000])
+def test_fold_point_does_not_follow_the_chunk_length(chunk, monkeypatch):
+    # Ones give one exact part per chunk (its length, in one pass), so a
+    # column gains one float per chunk and is folded, by one extraction of
+    # the whole column, once it holds 4096 of them, at any chunk length.
+    sizes = []
+    exact_parts = summation._exact_parts
+
+    def spy(x, split):
+        sizes.append(x.size)
+        return exact_parts(x, split)
+
+    monkeypatch.setattr(summation, "_exact_parts", spy)
+    monkeypatch.setattr(summation, "DEFAULT_CHUNK", chunk)
+    assert summation._FOLD == 4096
+    k = 4096 * chunk
+    assert chunked_parallel_sum(lambda n: np.ones(n.size), k - chunk) == \
+        k - chunk
+    assert sizes == [chunk] * 4095
+    sizes.clear()
+    assert chunked_parallel_sum(lambda n: np.ones(n.size), k) == k
+    assert sizes == [chunk] * 4096 + [4096]
 
 
 # ---------------------- argument checks and the k cap -----------------------

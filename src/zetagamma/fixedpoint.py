@@ -27,7 +27,7 @@ from .series import (
     offdiag_factorized,
     partial_zeta,
 )
-from .summation import _PLAIN, _check_positive_int, chunked_parallel_sum
+from .summation import _check_positive_int, chunked_parallel_sum
 
 #: Guard on |sin(t log k)| and |cos(t log k)| in the g map; the cot and
 #: sec factors amplify roundoff without bound near their poles.
@@ -119,10 +119,10 @@ def _f_values(ts: Sequence[float], k: int
     for t in ts:
         _check_t(t)
     k = _check_positive_int(k, "k", minimum=2)
-    diag, *sums = _partial_zeta_direct(
-        k, ((1.0, 0.0, _PLAIN), *((0.5, t, _PLAIN) for t in ts)))
+    [diag], *sums = _partial_zeta_direct(
+        ((1.0, 0.0, (k,)), *((0.5, t, (k,)) for t in ts)))
     values: list[float | SingularGuardError] = []
-    for t, z in zip(ts, sums):
+    for t, [z] in zip(ts, sums):
         try:
             values.append(_f_formula(t, k, _offdiag(z, diag)))
         except SingularGuardError as exc:

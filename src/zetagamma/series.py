@@ -27,18 +27,19 @@ estimates of the Euler-Mascheroni constant built from a single
 non-trivial zeta zero ordinate, one via the alternating (eta-form)
 series, one via the non-alternating truncated series.  Both reduce an
 O(k^2) double sum to O(k) through the squared-trig-sum factorization
-checked against the brute-force oracle ``offdiag_naive``;
-``gamma_estimates`` returns both from one traversal of ``n = 1..k``.
+checked against the brute-force oracle ``offdiag_naive``.
 
-A list of zeros at one k shares that traversal too (the zero-list tables
-T2/T3/T5/T6): the diagonals H_k and H_(k-1) do not depend on the zero and
-are summed once, and each chunk takes log n and n^-1/2 once for all zeros
-and the trig factors once per ordinate.  The alternating sum at k and the
-plain sum at k-1 of one zero share each unsigned trig column: the chunked
-sum reduces it exactly once and reads both totals off that reduction
-(see :mod:`zetagamma.summation`), and H_k and H_(k-1) likewise.  Every
-sum is still correctly rounded from its own exact total, so each value is
-bit-identical to a call for that zero alone.
+Every sum is a plain one to a prefix end.  The alternating sum is
+``2^(1-s) S(s, k//2) - S(s, k)`` (the even n give ``2^(1-s)`` times the
+sum to k//2), and type2 takes the plain sum at k-1, so one unsigned trig
+column serves both estimators at every k: the chunked sum reduces it
+exactly once and reads each end off that reduction (see
+:mod:`zetagamma.summation`), each correctly rounded from its own exact
+total.  A table therefore takes one traversal of n = 1..k at its largest
+k for all its zeros and all its k: the diagonals H_k and H_(k-1) do not
+depend on the zero and are summed once, and each chunk takes log n and
+n^-1/2 once for all zeros and the trig factors once per ordinate.  Each
+value is bit-identical to a call for that zero and k alone.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ import numpy as np
 from .errors import DomainError, OracleCapError
 from .summation import (
     MAX_DIRECT_K,
-    _PLAIN,
     _check_positive_int,
     chunked_parallel_pair_sum,
     chunked_parallel_sum,
@@ -195,43 +195,58 @@ def _cos_msin(t: float, log_n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cos, u
 
 
-def _partial_zeta_direct(
-        k: int, parts: Sequence[tuple[float, float, tuple[tuple[bool, bool], ...]]]
-) -> list[complex]:
-    # S(sigma + it, k), or S(sigma + it, k - 1) when drop_last, with
-    # e_n = (-1)^n when alternating, else 1, for each (alternating,
-    # drop_last) variant of each (sigma, t, variants) in parts, in order,
-    # from one traversal of n = 1..k.  Per chunk, log n is taken once,
-    # n^-sigma once per sigma, and the trig factors (_cos_msin) once per run
-    # of parts sharing t, dropped when t changes.  Each part yields its
-    # unsigned terms once per trig column, with its variants: the chunked
-    # sum signs them and drops the n = k term, from one reduction per
-    # column.  Columns are yielded one at a time, so each is reduced before
-    # the next is made.  At t == 0 only the real part is summed.
+def _partial_zeta_direct(parts: Sequence[tuple[float, float, Sequence[int]]]
+                         ) -> list[list[complex]]:
+    # [S(sigma + it, m) for m in ends] for each (sigma, t, ends) in parts,
+    # in order, from one traversal of n = 1..max end.  Per chunk, log n is
+    # taken once, n^-sigma once per sigma, and the trig factors (_cos_msin)
+    # once per run of parts sharing t, dropped when t changes.  Each part
+    # yields its trig columns with its ends, and the chunked sum reads every
+    # end off one reduction per column.  Columns are yielded one at a time,
+    # so each is reduced before the next is made.  At t == 0 only the real
+    # part is summed.
     def columns(idx: np.ndarray):
         powers: dict[float, np.ndarray] = {}
         log_n = trig = trig_t = None
-        for sigma, t, variants in parts:
+        for sigma, t, ends in parts:
             if sigma not in powers:
                 powers[sigma] = _n_pow(idx, sigma)
             w = powers[sigma]
             if t == 0.0:
-                yield w, variants
+                yield w, ends
                 continue
             if t != trig_t:
                 if log_n is None:
                     log_n = np.log(idx.astype(np.float64))
                 trig, trig_t = _cos_msin(t, log_n), t
-            yield trig[0] * w, variants
-            yield trig[1] * w, variants
+            yield trig[0] * w, ends
+            yield trig[1] * w, ends
 
+    k = max((m for _, _, ends in parts for m in ends), default=0)
     totals = iter(chunked_parallel_pair_sum(columns, k))
-    sums: list[complex] = []
-    for _, t, variants in parts:
-        real = [next(totals) for _ in variants]
-        imag = [0.0 if t == 0.0 else next(totals) for _ in variants]
-        sums += map(complex, real, imag)
+    sums: list[list[complex]] = []
+    for _, t, ends in parts:
+        real = [next(totals) for _ in ends]
+        imag = [0.0 if t == 0.0 else next(totals) for _ in ends]
+        sums.append(list(map(complex, real, imag)))
     return sums
+
+
+def _alternating(sigma: float, t: float, half: complex, full: complex
+                 ) -> complex:
+    # sum_{n<=k} (-1)^n n^-s = 2^(1-s) S(s, k//2) - S(s, k), from half =
+    # S(s, k//2) and full = S(s, k); real, with imaginary +0.0, at t == 0.
+    # Below k = 2 there is no even n, so no factor 2^(1-s), which overflows
+    # below sigma = -1023; an even part past binary64 is a DomainError.
+    error = DomainError("alternating sum is not finite in binary64")
+    try:
+        even = 2.0 ** (1.0 - complex(sigma, t)) * half if half else 0j
+    except OverflowError:
+        raise error from None
+    z = even - full
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise error
+    return complex(z.real, 0.0) if t == 0.0 else z
 
 
 def _em_tail(s: float | complex, x: float, order: int) -> float | complex:
@@ -293,7 +308,7 @@ def _partial_zeta_em(sigma: float, k: int) -> float:
         integral = log_ratio
     else:
         integral = n ** u * math.expm1(u * log_ratio) / u
-    (head_sum,) = _partial_zeta_direct(head, ((sigma, 0.0, _PLAIN),))
+    [[head_sum]] = _partial_zeta_direct(((sigma, 0.0, (head,)),))
     return compensated_sum((head_sum.real, integral,
                             _em_tail(sigma, n, terms + 1),
                             -_em_tail(sigma, end, terms + 1)))
@@ -309,7 +324,15 @@ def partial_zeta(sigma: float, t: float, k: int,
     summed and the imaginary part is ``0.0``.
 
     Up to ``k = summation.MAX_DIRECT_K`` every sum is direct, in one
-    traversal of ``n = 1..k``.  Above it, sums with ``t == 0``,
+    traversal of ``n = 1..k``.  The alternating sum is taken as
+    ``2^(1-s) S(s, k//2) - S(s, k)`` from the plain sums to both ends.
+    It adds the roundings of the two sums and of ``2^(1-s)``: where the
+    sums cancel, up to about ``eps |S(s, k)|`` beside the rounding of the
+    phases ``t log n``.  At ``t == 0`` there is no phase, so with
+    ``sigma <= 0`` integer sums are no longer exact
+    (``partial_zeta(-2.0, 0.0, 10**6, True)`` is 32 below k(k+1)/2), and
+    at ``k == 2`` a ``sigma`` in (-1024, -1023) overflows ``2^(1-s)`` and
+    is a ``DomainError``.  Above the cap, sums with ``t == 0``,
     ``sigma > 0`` and no alternation take the Euler-Maclaurin route: a short
     head (15 terms for H_k) directly, then the integral, the endpoint halves
     and up to eight Bernoulli terms, with the remainder bounded by 2^-64;
@@ -321,7 +344,10 @@ def partial_zeta(sigma: float, t: float, k: int,
         raise DomainError("sigma must be finite")
     if k > MAX_DIRECT_K and t == 0.0 and not alternating and sigma > 0.0:
         return complex(_partial_zeta_em(sigma, k), 0.0)
-    (z,) = _partial_zeta_direct(k, ((sigma, t, ((alternating, False),)),))
+    if alternating:
+        [[half, full]] = _partial_zeta_direct(((sigma, t, (k // 2, k)),))
+        return _alternating(sigma, t, half, full)
+    [[z]] = _partial_zeta_direct(((sigma, t, (k,)),))
     return z
 
 
@@ -488,37 +514,30 @@ def gamma_type2(t_q: float, k: int, q: int | None = None) -> GammaEstimate:
     return _type2(off, p, q)
 
 
-def gamma_estimates(t_q: float, k: int, q: int | None = None
-                    ) -> tuple[GammaEstimate, GammaEstimate]:
-    """``(gamma_type1(t_q, k, q), gamma_type2(t_q, k, q))``, bit for bit,
-    from one traversal of n = 1..k.
-
-    The traversal yields the alternating sum at k, the plain sum at k-1
-    and the diagonals H_k and H_(k-1) from one evaluation of n^-1/2, log,
-    cos and sin per n.  Each trig column and the diagonal is reduced
-    exactly once; the signed, whole and cut totals are read off that
-    reduction, each correctly rounded from its own exact total.
-    """
-    return _gamma_pairs(k, ((t_q, q),))[0]
-
-
-def _gamma_pairs(k: int, zeros: Sequence[tuple[float, int | None]]
+def _gamma_pairs(ks: Sequence[int], zeros: Sequence[tuple[float, int | None]]
                  ) -> list[tuple[GammaEstimate, GammaEstimate]]:
-    # gamma_estimates(t_q, k, q) for each (t_q, q) in zeros, bit for bit,
-    # from one traversal of n = 1..k shared by every zero: H_k and H_(k-1)
-    # are summed once, log n and n^-1/2 are evaluated once per n for all
-    # zeros, and each zero's trig columns are reduced once for both of its
-    # sums.  No zeros, no sum.
-    params = [(_gamma_params(t_q, k), q) for t_q, q in zeros]
-    if not params:
+    # (gamma_type1(t_q, k, q), gamma_type2(t_q, k, q)), bit for bit, at
+    # every k in ks for each (t_q, q) in zeros, k by k, from one traversal
+    # of n = 1..max(ks): log n and n^-1/2 are evaluated once per n, and the
+    # diagonal and each zero's trig columns are reduced once for all their
+    # prefix ends.  Per k, a zero's ends are k//2 and k (its alternating
+    # sum) and k-1 (its plain sum), and the diagonal's k and k-1.  No zeros,
+    # no sum.
+    rows = [[(_gamma_params(t_q, k), q) for t_q, q in zeros] for k in ks]
+    if not zeros:
         return []
-    k = params[0][0].k
-    diag, diag_prev, *sums = _partial_zeta_direct(k, (
-        (1.0, 0.0, ((False, False), (False, True))),
-        *((0.5, p.t, ((True, False), (False, True))) for p, _ in params)))
-    return [(_type1(_offdiag(alt, diag), p, q),
-             _type2(_offdiag(plain, diag_prev), p, q))
-            for (p, q), alt, plain in zip(params, sums[::2], sums[1::2])]
+    diag, *sums = _partial_zeta_direct((
+        (1.0, 0.0, [m for k in ks for m in (k, k - 1)]),
+        *((0.5, t_q, [m for k in ks for m in (k // 2, k, k - 1)])
+          for t_q, _ in zeros)))
+    pairs = []
+    for i, row in enumerate(rows):
+        for (p, q), zero_sums in zip(row, sums):
+            half, full, prev = zero_sums[3 * i:3 * i + 3]
+            alt = _alternating(0.5, p.t, half, full)
+            pairs.append((_type1(_offdiag(alt, diag[2 * i]), p, q),
+                          _type2(_offdiag(prev, diag[2 * i + 1]), p, q)))
+    return pairs
 
 
 class EulerMaclaurinOrder(IntEnum):

@@ -32,20 +32,18 @@ join the sum's column, and one ``fsum`` rounds their exact total once at
 the end: the only step that rounds.  A chunk whose ``sigma`` would exceed
 ``2^1023`` (some ``|x_i| >= 2^(1023 - M)``) joins it term by term.
 
-One extraction serves several sums of the same terms.  Every ``q`` of a
+One extraction serves every prefix of the same terms.  Every ``q`` of a
 pass is a multiple of the unit ``2^-53 sigma``, and ``sum|q| <= n 2^-M
-sigma < sigma``, so the sum of any subset of a pass, with any signs, is a
-multiple of that unit below ``sigma`` in magnitude: exact.  The passes
-can therefore keep the even and the odd ``n`` apart (``q[0::2].sum()``,
-``q[1::2].sum()``): the plain sum takes both as they are, the alternating
-sum (``(-1)^n x_n``) the even minus the odd ones.  A sum cut at ``k - 1``
-adds ``-x_k`` in the last chunk, which leaves the exact total, and so its
-rounding, as if ``x_k`` had never been summed.  A callback item of
-``chunked_parallel_pair_sum`` may therefore be ``(terms, variants)``:
-each ``(alternating, drop_last)`` variant is one column.  Terms of one
-sign are signed in a copy and summed whole; only an array that needs both
-signs pays for the split (two strided sums per pass in place of one
-contiguous sum, 3.6 against 2.0 us at 4096 terms on a 2-vCPU x86 host).
+sigma < sigma``, so the sum of any subset of a pass is a multiple of that
+unit below ``sigma`` in magnitude: exact.  A callback item of
+``chunked_parallel_pair_sum`` may therefore be ``(terms, ends)``: each end
+``m`` is one column, the sum of the terms at ``n = 1..m``.  A chunk that
+holds no end takes one plain sum per pass; where ends fall inside it, each
+pass takes the sums of the segments between them (``np.add.reduceat``)
+and their running totals, all exact.  Each end is thus rounded once from
+its own exact total, exactly ``math.fsum`` of its terms.  The alternating
+sums and the sums cut at ``k - 1`` of ``series`` are built from such
+prefix ends.
 
 The parts do not pile up: once a column holds ``_FOLD`` floats, the same
 extraction folds them into its few exact pass totals, so folding never
@@ -59,9 +57,10 @@ Euler-Maclaurin route that sums only a short head here.
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -130,18 +129,15 @@ def compensated_sum(terms: Iterable[float] | np.ndarray) -> float:
     return _fsum([float(x) for x in terms])
 
 
-#: The variants of a plain column: every term, unsigned.
-_PLAIN = ((False, False),)
-
-
-def _exact_parts(x: np.ndarray, split: bool) -> list[float] | None:
-    # Floats whose exact sum is the exact sum of x: the extraction's pass
-    # totals (see the module docstring), or None where some |x_i| is too
-    # close to overflow for a pass.  With ``split`` each pass gives two, the
-    # totals of the even and of the odd positions, so parts[0::2] and
-    # parts[1::2] sum exactly to x[0::2] and x[1::2], as x.tolist() would.
-    # x is left as it is: the first pass writes what is left of it to a new
-    # array, and the later passes overwrite that one.
+def _exact_parts(x: np.ndarray, cuts: Sequence[int]
+                 ) -> list[list[float]] | None:
+    # Per prefix of x, ending at each cut (increasing positions in
+    # 1..x.size-1) and then at x.size, floats whose exact sum is that of the
+    # prefix: the extraction's pass totals (see the module docstring), or
+    # None where some |x_i| is too close to overflow for a pass.  With cuts,
+    # each pass sums the segments between them and keeps the running
+    # totals, all exact.  x is left as it is: the first pass writes what is
+    # left of it to a new array, and the later passes overwrite that one.
     m = x.size.bit_length()
     q = np.abs(x)
     mu = float(q.max(initial=0.0))
@@ -149,78 +145,47 @@ def _exact_parts(x: np.ndarray, split: bool) -> list[float] | None:
         raise DomainError("non-finite term in summation input")
     if math.frexp(mu)[1] + m > 1023:
         return None
-    parts: list[float] = []
+    prefixes: list[list[float]] = [[] for _ in range(len(cuts) + 1)]
     rest = x
     while mu:
         sigma = math.ldexp(1.0, math.frexp(mu)[1] + m)
         np.add(rest, sigma, out=q)
         q -= sigma
         rest = np.subtract(rest, q, out=None if rest is x else rest)
-        if split:
-            parts += (float(q[0::2].sum()), float(q[1::2].sum()))
+        if cuts:
+            totals = np.add.reduceat(q, (0, *cuts)).cumsum().tolist()
         else:
-            parts.append(float(q.sum()))
+            totals = (float(q.sum()),)
+        for prefix, total in zip(prefixes, totals):
+            prefix.append(total)
         mu = float(np.abs(rest, out=q).max())
-    return parts
+    return prefixes
 
 
-def _variant_parts(values, variants: tuple[tuple[bool, bool], ...],
-                   start: int, cut: bool) -> list[list[float]]:
-    # Per (alternating, drop_last) variant, floats whose exact sum is that
-    # of the chunk terms e_n x_n of ``values`` (at n = start, start + 1, ...;
-    # e_n = (-1)^n when alternating, else 1), without the last one when
-    # drop_last and the chunk ends the range (``cut``).  One extraction
-    # serves every variant: terms of one sign are signed in a copy and
-    # summed whole; with both signs each pass sums the even and the odd
-    # positions apart, and each variant takes the two with its sign.  A
-    # dropped term is subtracted, which leaves the exact total as if the
-    # term had never been summed.
-    x = np.asarray(values, dtype=np.float64).ravel()
-    odd = 1 - start % 2  # position of the first odd n
-    # A lone variant (most columns) skips building the set of signs.
-    both = len(variants) > 1 and len({alt for alt, _ in variants}) == 2
-    if variants[0][0] and not both:
-        x = x.copy()
-        np.negative(x[odd::2], out=x[odd::2])
-    parts = _exact_parts(x, both)
-    if parts is None:
-        parts = x.tolist()
-    if not (both or cut):
-        # One sign and no term to drop: every variant has the same parts.
-        return [parts] * len(variants)
-    last = float(x[-1]) if cut else 0.0
-    last_odd = (x.size - 1) % 2 == odd
-    # The parts whose signs are settled, and those of the odd n, which each
-    # variant signs itself when the terms need both signs.
-    settled, odd_n = (parts[1 - odd::2], parts[odd::2]) if both else (parts, [])
-    signed = []
-    for alternating, drop_last in variants:
-        flip = both and alternating
-        terms = settled + ([-v for v in odd_n] if flip else odd_n)
-        if drop_last and cut:
-            terms.append(last if flip and last_odd else -last)
-        signed.append(terms)
-    return signed
-
-
-def _columns(item) -> tuple[np.ndarray, tuple[tuple[bool, bool], ...]]:
-    # A callback item: a term array (one plain column) or (terms, variants).
-    return item if isinstance(item, tuple) else (item, _PLAIN)
+def _columns(item, k: int) -> tuple[np.ndarray, list[int]]:
+    # A callback item: a term array (one column, to k) or (terms, ends).
+    if not isinstance(item, tuple):
+        return item, [k]
+    terms, ends = item
+    ends = [_check_positive_int(m, "prefix end", minimum=0) for m in ends]
+    if any(m > k for m in ends):
+        raise DomainError(f"prefix end must be <= k = {k}")
+    return terms, ends
 
 
 def _chunked_fsum(block_fn: Callable[[np.ndarray], Iterable],
                   k: int, workers: int | None) -> tuple[float, ...]:
     # ``block_fn`` maps one chunk's indices to its items, each a term array
-    # or (terms, variants), and may yield them: each is reduced as soon as
-    # it arrives, so a chunk keeps few arrays alive whatever the column
-    # count.  Every variant of an item is one column, in order, and gains
-    # the chunk's exact parts.  Once a column holds ``_FOLD`` floats they
-    # are replaced by their own exact parts (a few floats), so no column
-    # grows with k; the final fsum rounds the exact total once.  The next
-    # fold waits until the column has doubled, which bounds the work when
-    # the parts are many (a tiny chunk length) or when parts near overflow
-    # cannot be folded and stay as they are.  At k = 0 no chunk runs and the
-    # result is ().
+    # or (terms, ends), and may yield them: each is reduced as soon as it
+    # arrives, so a chunk keeps few arrays alive whatever the column count.
+    # Every end of an item is one column, in order, and gains the exact
+    # parts of the chunk's terms up to it.  Once a column holds ``_FOLD``
+    # floats they are replaced by their own exact parts (a few floats), so
+    # no column grows with k; the final fsum rounds the exact total once.
+    # The next fold waits until the column has doubled, which bounds the
+    # work when the parts are many (a tiny chunk length) or when parts near
+    # overflow cannot be folded and stay as they are.  At k = 0 no chunk
+    # runs and the result is ().
     k = _check_positive_int(k, "k", minimum=0)
     chunk = DEFAULT_CHUNK
     if k > MAX_DIRECT_K:
@@ -234,17 +199,25 @@ def _chunked_fsum(block_fn: Callable[[np.ndarray], Iterable],
         idx = np.arange(lo, hi, dtype=np.int64)
         i = 0
         for item in block_fn(idx):
-            terms, variants = _columns(item)
-            for parts in _variant_parts(terms, variants, lo, hi > k):
+            terms, ends = _columns(item, k)
+            x = np.asarray(terms, dtype=np.float64).ravel()
+            # Each end inside the chunk, before its last term, cuts it after
+            # the end's own term; an end past the chunk takes all of it.
+            cuts = sorted({m - lo + 1 for m in ends if lo <= m < hi - 1})
+            prefixes = _exact_parts(x, cuts)
+            if prefixes is None:
+                prefixes = [x[:c].tolist() for c in (*cuts, x.size)]
+            for m in ends:
                 if i == len(columns):
                     columns.append([])
                     fold_at.append(_FOLD)
                 column = columns[i]
-                column += parts
+                if m >= lo:
+                    column += prefixes[bisect.bisect_left(cuts, m - lo + 1)]
                 if len(column) >= fold_at[i]:
-                    folded = _exact_parts(np.asarray(column), False)
+                    folded = _exact_parts(np.asarray(column), ())
                     if folded is not None:
-                        column[:] = folded
+                        column[:] = folded[0]
                     fold_at[i] = max(_FOLD, 2 * len(column))
                 i += 1
     return tuple(_fsum(column) for column in columns)
@@ -262,8 +235,7 @@ def chunked_parallel_sum(term_fn: Callable[[np.ndarray], np.ndarray],
     rounded once.  ``workers`` is validated but does not change the result
     or the thread count.
     """
-    totals = _chunked_fsum(lambda idx: ((term_fn(idx), _PLAIN),), k,
-                           workers)
+    totals = _chunked_fsum(lambda idx: (term_fn(idx),), k, workers)
     return totals[0] if totals else 0.0
 
 
@@ -276,17 +248,16 @@ def chunked_parallel_pair_sum(pair_fn: Callable[[np.ndarray], Iterable],
     cosine/sine pair) that reuse common work (one log per index,
     typically), returned as a tuple or yielded one at a time; each item is
     reduced before the next is asked for, so a generator keeps few arrays
-    alive.  An item is a term array, one column, or a pair ``(terms,
-    variants)``: ``variants`` is a tuple of ``(alternating, drop_last)``
-    flags, and each is one column, in order, that sums ``e_n terms_n``
-    (``e_n = (-1)^n`` when alternating, else 1) over ``1..k``, or over
-    ``1..k-1`` when drop_last.  All variants of an item come from one exact
+    alive.  An item is a term array, one column summed over ``1..k``, or a
+    pair ``(terms, ends)``: each end ``m``, an integer in ``0..k``, is one
+    column, in order, that sums ``terms_n`` over ``1..m``; ends may repeat
+    and come in any order.  All ends of an item come from one exact
     reduction per chunk (see the module docstring), and each total is
-    exactly ``math.fsum`` of that column's terms, signed and cut.  At
-    ``k = 0`` no chunk runs, so ``pair_fn`` is called once on an empty
-    index array to learn the column count, and every total is 0.0.
+    exactly ``math.fsum`` of that column's terms.  At ``k = 0`` no chunk
+    runs, so ``pair_fn`` is called once on an empty index array to learn
+    the column count, and every total is 0.0.
     """
     totals = _chunked_fsum(pair_fn, k, workers)
     empty = np.arange(1, 1, dtype=np.int64)
     return totals or tuple(0.0 for item in pair_fn(empty)
-                          for _ in _columns(item)[1])
+                          for _ in _columns(item, 0)[1])

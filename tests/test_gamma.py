@@ -18,7 +18,6 @@ from zetagamma import (
     gamma_type2,
     offdiag_naive,
 )
-from zetagamma.series import gamma_estimates
 from zetagamma.summation import chunked_parallel_sum
 
 T1 = 14.1347251417347
@@ -78,7 +77,7 @@ def _zero_t(q):
 @pytest.mark.parametrize("k", [2, 3, 4096, 4097, 4098, 8193, 16384, 16385])
 def test_gamma_estimates_bit_identical_to_lone_calls(k, q):
     t = _zero_t(q)
-    pair = gamma_estimates(t, k, q=q)
+    (pair,) = series._gamma_pairs([k], [(t, q)])
     lone = (gamma_type1(t, k, q=q), gamma_type2(t, k, q=q))
     assert [e.value.hex() for e in pair] == [e.value.hex() for e in lone]
     assert pair == lone
@@ -88,43 +87,53 @@ def test_gamma_estimates_validates_like_lone_calls():
     for bad in [(T1, 1), (0.0, 10), (-T1, 10), (math.inf, 10), (T1, 10.0),
                 (T1, True)]:
         with pytest.raises(DomainError):
-            gamma_estimates(*bad)
+            series._gamma_pairs([bad[1]], [(bad[0], None)])
+        with pytest.raises(DomainError):
+            series._gamma_pairs([100, bad[1]], [(T1, 1), (bad[0], None)])
 
 
-def _column(t, trig, alternating, k):
-    # One trig column of S(1/2 + it, k) from the kernel, signed explicitly
-    # ((-1)^n at odd n) when alternating, through the chunked sum at k.
-    def terms(idx):
-        nf = idx.astype(np.float64)
-        x = series._cos_msin(t, np.log(nf))[trig] * (1.0 / np.sqrt(nf))
-        return np.where(idx % 2 == 1, -x, x) if alternating else x
+def _sum_to(t, m):
+    # S(1/2 + it, m) from the kernel, each trig column through its own
+    # chunked sum of unsigned terms.
+    def column(trig):
+        def terms(idx):
+            nf = idx.astype(np.float64)
+            return series._cos_msin(t, np.log(nf))[trig] * (1.0 / np.sqrt(nf))
+        return chunked_parallel_sum(terms, m)
 
-    return chunked_parallel_sum(terms, k)
+    return complex(column(0), column(1))
 
 
 def _estimates_from_columns(t, k):
-    # type1 and type2 built from six separate chunked sums: the alternating
-    # sum and H at k, the plain sum and H cut to k - 1.
-    def off(alternating, last):
-        re, im = (_column(t, trig, alternating, last) for trig in (0, 1))
-        return re * re + im * im - chunked_parallel_sum(lambda n: 1.0 / n, last)
+    # type1 and type2 built from separate chunked sums: the plain sums at
+    # k//2, k and k - 1, and H at k and k - 1.  The alternating sum at k is
+    # 2^(1-s) S(s, k//2) - S(s, k).
+    def off(z, last):
+        return z.real * z.real + z.imag * z.imag \
+            - chunked_parallel_sum(lambda n: 1.0 / n, last)
 
-    return (-off(True, k) - math.log(k),
-            k / (0.25 + t * t) - off(False, k - 1) - math.log(k - 1))
+    alt = 2.0 ** (1.0 - complex(0.5, t)) * _sum_to(t, k // 2) - _sum_to(t, k)
+    plain = _sum_to(t, k - 1)
+    return (-off(alt, k) - math.log(k),
+            k / (0.25 + t * t) - off(plain, k - 1) - math.log(k - 1))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4096, 4097, 8192, 8193, 16385])
 def test_estimates_match_signed_and_cut_column_sums(k):
-    # The traversal takes every column of all zeros from one unsigned array
-    # per trig factor, signing and cutting inside the reduction; each value
-    # must equal the columns summed one by one.
+    # The traversal reads every sum of all zeros and all k off one unsigned
+    # array per trig factor, as prefix ends inside the reduction; each value
+    # must equal the columns summed one by one, also when other k share the
+    # traversal.
     zeros = [(_zero_t(q), q) for q in (1, 2, 100, 100_000)]
     expected = [[v.hex() for v in _estimates_from_columns(t, k)]
                 for t, _ in zeros]
-    assert [[e.value.hex() for e in gamma_estimates(t, k)]
+    assert [[e.value.hex() for e in (gamma_type1(t, k), gamma_type2(t, k))]
             for t, _ in zeros] == expected
     assert [[e.value.hex() for e in pair]
-            for pair in series._gamma_pairs(k, zeros)] == expected
+            for pair in series._gamma_pairs([k], zeros)] == expected
+    shared = series._gamma_pairs([3, k, 2 * k + 1, k], zeros)
+    for row in (shared[4:8], shared[12:]):
+        assert [[e.value.hex() for e in pair] for pair in row] == expected
 
 
 @pytest.mark.parametrize("op, calls", [

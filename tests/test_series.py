@@ -179,8 +179,24 @@ def test_partial_zeta_matches_mpmath():
         assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref)), (sigma, t, k)
 
 
+@pytest.mark.parametrize("q", [1000, 10_000, 100_000])
+@pytest.mark.parametrize("k", [3000, 3001])
+def test_partial_zeta_alternating_at_high_ordinates(q, k):
+    # At a catalog ordinate t ~ 1e3..7.5e4 every term carries the rounding
+    # of its phase t log n, about |t| log n 2^-53, plus a few roundings of
+    # its own: the sum stays within 2^-53 sum (|t| log n + 3) n^-1/2 of the
+    # 40-digit sum.
+    t = next(z.t for z in builtin_catalog().zeros if z.q == q)
+    bound = 2.0 ** -53 * math.fsum((t * math.log(n) + 3.0) / math.sqrt(n)
+                                   for n in range(1, k + 1))
+    ref = _partial_zeta_mp(0.5, t, k, True)
+    assert abs(partial_zeta(0.5, t, k, alternating=True) - ref) <= bound
+
+
 def test_partial_zeta_alternating_identity():
-    # sum (-1)^n n^-s = 2^(1-s) S(s, floor(k/2)) - S(s, k).
+    # The alternating sum, taken as 2^(1-s) S(s, k//2) - S(s, k), against
+    # its terms signed directly, (-1)^n n^-sigma (cos, -sin)(t log n), each
+    # part one math.fsum.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -189,20 +205,23 @@ def test_partial_zeta_alternating_identity():
     @hypothesis.given(sigma=st.floats(0.05, 0.95), t=st.floats(0.0, 300.0),
                       k=st.integers(1, 3000))
     def check(sigma, t, k):
-        s = complex(sigma, t)
-        full = partial_zeta(sigma, t, k)
-        identity = 2.0 ** (1.0 - s) * partial_zeta(sigma, t, k // 2) - full
+        terms = [((-1.0) ** n * n ** -sigma, t * math.log(n))
+                 for n in range(1, k + 1)]
+        direct = complex(math.fsum(w * math.cos(x) for w, x in terms),
+                         math.fsum(-w * math.sin(x) for w, x in terms))
         alt = partial_zeta(sigma, t, k, alternating=True)
-        assert abs(alt - identity) <= 1e-11 * max(1.0, abs(full))
+        full = partial_zeta(sigma, t, k)
+        assert abs(alt - direct) <= 1e-11 * max(1.0, abs(full))
 
     check()
 
 
 def test_zero_list_traversal_matches_lone_sums_property():
-    # The zero-list tables take every ordinate's sums from one traversal:
-    # per ordinate the alternating sum at k and the plain sums at k-1 and
-    # k, plus H_k and H_(k-1).  Each must equal a lone partial_zeta bit for
-    # bit, for ordinates above k, repeated ordinates and k at chunk edges.
+    # The tables take every ordinate's sums at every k from one traversal:
+    # per ordinate and k the plain sums to k//2, k and k-1, plus H_k and
+    # H_(k-1).  Each must equal a lone partial_zeta bit for bit, for
+    # ordinates above k, repeated ordinates and ends, ends at 0 and k at
+    # chunk edges.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     ordinate = st.one_of(st.floats(0.1, 300.0), st.floats(7.4e4, 7.6e4),
@@ -211,21 +230,20 @@ def test_zero_list_traversal_matches_lone_sums_property():
     @hypothesis.settings(max_examples=30, deadline=None, derandomize=True,
                          database=None)
     @hypothesis.given(ts=st.lists(ordinate, min_size=1, max_size=4),
-                      k=st.sampled_from((2, 3, 4095, 4096, 4097, 8193,
-                                         16384, 16385)))
-    def check(ts, k):
-        parts = ((1.0, 0.0, ((False, False), (False, True))),) + tuple(
-            (0.5, t, ((True, False), (False, True), (False, False)))
+                      ks=st.lists(st.sampled_from((2, 3, 4095, 4096, 4097,
+                                                   8193, 16384, 16385)),
+                                  min_size=1, max_size=2))
+    def check(ts, ks):
+        parts = ((1.0, 0.0, [m for k in ks for m in (k, k - 1)]),) + tuple(
+            (0.5, t, [m for k in ks for m in (k // 2, k, k - 1, 0, k)])
             for t in ts + ts[:1])
-        flat = [(sigma, t, alternating, k - drop_last)
-                for sigma, t, variants in parts
-                for alternating, drop_last in variants]
-        sums = series_module._partial_zeta_direct(k, parts)
-        assert len(sums) == len(flat)
-        for (sigma, t, alternating, last), z in zip(flat, sums):
-            lone = partial_zeta(sigma, t, last, alternating)
-            assert (z.real.hex(), z.imag.hex()) == \
-                (lone.real.hex(), lone.imag.hex()), (sigma, t, alternating, last)
+        sums = series_module._partial_zeta_direct(parts)
+        assert [len(z) for z in sums] == [len(ends) for _, _, ends in parts]
+        for (sigma, t, ends), zs in zip(parts, sums):
+            for m, z in zip(ends, zs):
+                lone = partial_zeta(sigma, t, m)
+                assert (z.real.hex(), z.imag.hex()) == \
+                    (lone.real.hex(), lone.imag.hex()), (sigma, t, m)
 
     check()
 
@@ -234,6 +252,30 @@ def test_zero_list_traversal_matches_lone_sums_property():
 def test_partial_zeta_real_s_has_zero_imaginary_part(alternating):
     z = partial_zeta(0.3, 0.0, 5000, alternating)
     assert z.imag == 0.0 and math.copysign(1.0, z.imag) == 1.0
+
+
+@pytest.mark.parametrize("t", [0.0, 3.0])
+def test_alternating_sum_far_left_of_the_strip(t):
+    # Without an even n the sum is -1 at any sigma; with one, the even part
+    # 2^(1-s) S(s, 1) leaves binary64 below sigma = -1023 before the odd
+    # part cancels it.
+    assert partial_zeta(-2000.0, t, 1, alternating=True) == -1.0
+    assert partial_zeta(-2000.0, t, 0, alternating=True) == 0j
+    with pytest.raises(DomainError, match="not finite"):
+        partial_zeta(-1023.5, t, 2, alternating=True)
+
+
+@pytest.mark.parametrize("k", [999, 10**6 - 1, 10**6])
+def test_alternating_sum_at_t_zero_loses_eps_of_the_plain_sum(k):
+    # At t == 0 and sigma = -2 the sum is the integer (-1)^k k(k+1)/2, but
+    # the identity takes it as 8 S(-2, k//2) - S(-2, k), two sums of about
+    # k^3/3 that cancel: it stays within 2 eps |S(-2, k)|, so it need not
+    # be exact (500000499968 at k = 1e6).
+    exact = (-1) ** k * k * (k + 1) // 2
+    plain = k * (k + 1) * (2 * k + 1) // 6
+    z = partial_zeta(-2.0, 0.0, k, alternating=True)
+    assert z.imag == 0.0
+    assert abs(z.real - exact) <= 2.0 ** -51 * plain
 
 
 @pytest.mark.parametrize("k", [1, 10, 4097, 10**5])
@@ -289,16 +331,24 @@ def test_cos_msin_kernel_gives_nan_without_warning():
                                   (74920.8, 10**5)])
 def test_partial_zeta_matches_the_cos_sin_route(t, k, alternating):
     # The route partial_zeta took before the half-angle kernel, rebuilt:
-    # numpy's cos and sin of t log n, chunked the same way.
+    # numpy's cos and sin of t log n, chunked the same way, summed to the
+    # same ends; the alternating sum is 2^(1-s) S(s, k//2) - S(s, k).
+    ends = (k // 2, k) if alternating else (k,)
+
     def columns(idx):
         nf = idx.astype(np.float64)
-        w = series_module._n_pow(idx, 0.5, alternating)
+        w = series_module._n_pow(idx, 0.5)
         arg = t * np.log(nf)
-        return np.cos(arg) * w, -np.sin(arg) * w
+        return (np.cos(arg) * w, ends), (-np.sin(arg) * w, ends)
 
-    re, im = chunked_parallel_pair_sum(columns, k)
+    totals = chunked_parallel_pair_sum(columns, k)
+    sums = [complex(re, im) for re, im in zip(totals[:len(ends)],
+                                              totals[len(ends):])]
+    ref = sums[-1]
+    if alternating:
+        ref = 2.0 ** (1.0 - complex(0.5, t)) * sums[0] - ref
     z = partial_zeta(0.5, t, k, alternating)
-    assert abs(z.real - re) <= 1e-14 and abs(z.imag - im) <= 1e-14
+    assert abs(z.real - ref.real) <= 1e-14 and abs(z.imag - ref.imag) <= 1e-14
 
 
 # ---------------------- Euler-Maclaurin route of partial zeta ----------------
@@ -429,7 +479,10 @@ def test_offdiag_trivial_pair():
     assert abs(offdiag_naive(p, True) - (-math.sqrt(2.0))) <= 1e-14
     assert abs(offdiag_naive(p, False) - math.sqrt(2.0)) <= 1e-14
     assert abs(offdiag_factorized(p, True) - (-math.sqrt(2.0))) <= 1e-14
-    assert offdiag_naive(p, True) == offdiag_factorized(p, True)
+    # The plain route sums the oracle's own terms; the alternating one is
+    # 2^(1/2) S(1/2, 1) - S(1/2, 2), with 2^(1/2) correctly rounded.
+    assert offdiag_naive(p, False) == offdiag_factorized(p, False)
+    assert offdiag_factorized(p, True) == -math.sqrt(2.0)
 
 
 def test_offdiag_k1_is_zero():

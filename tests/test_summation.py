@@ -447,22 +447,12 @@ def test_chunked_total_bit_identical_property():
     check()
 
 
-def _variant_reference(x, alternating, drop_last):
-    # The variant spelled out: the correctly rounded total of e_n x_n for
-    # n = 1..k (e_n = (-1)^n when alternating), without n = k when
-    # drop_last, whatever the chunk length.
-    terms = [-v if alternating and n % 2 else v
-             for n, v in enumerate(x.tolist(), start=1)]
-    return _fsum_or_none(terms[:len(terms) - drop_last])
-
-
 def test_variant_totals_bit_identical_property():
-    # Each (alternating, drop_last) variant of a yielded array is its own
-    # column, taken from one extraction: terms of both signs split the
-    # passes by the parity of n.  Chunk lengths 1 and 3 start chunks at odd
-    # and even n; 4096 holds the whole range in one chunk.  Magnitudes near
-    # 2^1023 leave no room for a pass, so their chunks hand the signed terms
-    # to the final fsum instead.
+    # Each end m of a (terms, ends) item is its own column, math.fsum of the
+    # terms at n = 1..m, taken from one extraction per chunk.  Ends fall at
+    # 0, at k, inside and at the edges of chunks of 1, 3 and 4096 terms,
+    # repeated and unsorted.  Magnitudes near 2^1023 leave no room for a
+    # pass, so their chunks hand the prefixes' terms to the final fsum.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     value = st.one_of(
@@ -471,28 +461,28 @@ def test_variant_totals_bit_identical_property():
         st.floats(allow_nan=False, allow_infinity=False),
         st.floats(-1e3, 1e3),
         st.floats(8e307, 1.7e308).map(lambda v: v if v < 1.2e308 else -v))
-    variants = st.lists(st.tuples(st.booleans(), st.booleans()),
-                        min_size=1, max_size=4).map(tuple)
+    # -1 stands for k; larger ends are cut to k.
+    ends = st.lists(st.integers(-1, 40), min_size=1, max_size=5).map(
+        lambda e: e + e[:1])
 
     @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
                          database=None)
     @hypothesis.given(
         items=st.lists(st.tuples(st.lists(value, min_size=1, max_size=40),
-                                 variants), min_size=1, max_size=3),
+                                 ends), min_size=1, max_size=3),
         chunk=st.sampled_from((1, 3, 4096)))
     def check(items, chunk):
         k = min(len(values) for values, _ in items)
-        arrays = [(np.array(values[:k]), v) for values, v in items]
+        arrays = [(np.array(values[:k]), [k if m < 0 else min(m, k) for m in e])
+                  for values, e in items]
 
         def columns(idx):
-            for x, v in arrays:
-                yield x[idx - 1], v
+            for x, e in arrays:
+                yield x[idx - 1], e
 
-        expected = [_variant_reference(x, alternating, drop_last)
-                    for x, v in arrays for alternating, drop_last in v]
+        expected = [_fsum_or_none(x[:m].tolist())
+                    for x, e in arrays for m in e]
         with mock.patch.object(summation, "DEFAULT_CHUNK", chunk):
-            assert chunked_parallel_pair_sum(columns, 0) == \
-                (0.0,) * len(expected)
             if None in expected:
                 with pytest.raises(DomainError):
                     chunked_parallel_pair_sum(columns, k)
@@ -505,15 +495,15 @@ def test_variant_totals_bit_identical_property():
 
 def test_chunked_sums_leave_the_callback_arrays_as_they_are():
     # The callback may hand out views of arrays it keeps (partial_zeta's
-    # weights at t = 0): no variant may write to them.
+    # weights at t = 0): no column may write to them.
     x = np.random.default_rng(3).standard_normal(10_000)
     kept = x.copy()
 
     def columns(idx):
         view = x[idx[0] - 1:idx[-1]]
         yield view
-        yield view, ((True, False),)
-        yield view, ((True, True), (False, True))
+        yield view, (x.size // 2,)
+        yield view, (0, x.size, 3, x.size - 1)
 
     chunked_parallel_pair_sum(columns, x.size)
     chunked_parallel_sum(lambda idx: x[idx[0] - 1:idx[-1]], x.size)
@@ -521,46 +511,72 @@ def test_chunked_sums_leave_the_callback_arrays_as_they_are():
 
 
 def test_variant_items_mix_with_plain_arrays():
-    # A plain array is one unsigned column; (terms, variants) is one column
-    # per variant, in order.
-    def columns(idx):
-        nf = idx.astype(np.float64)
-        yield 1.0 / nf
-        yield 1.0 / nf, ((True, False), (False, True), (True, True))
-        yield np.sqrt(nf)
+    # A plain array is one column to k; (terms, ends) is one column per
+    # end, in order, repeated and unsorted ends included.
+    def columns_to(ends):
+        def columns(idx):
+            nf = idx.astype(np.float64)
+            yield 1.0 / nf
+            yield 1.0 / nf, ends
+            yield np.sqrt(nf)
+        return columns
 
-    k = 10_001
-    h = [(-1.0) ** n / n for n in range(1, k + 1)]
-    assert chunked_parallel_pair_sum(columns, k) == (
+    k = 40_001
+    ends = (k // 2, k, k - 1, 0, 16384, k // 2)
+    assert chunked_parallel_pair_sum(columns_to(ends), k) == (
         chunked_parallel_sum(lambda n: 1.0 / n, k),
-        chunked_parallel_sum(lambda n: np.array(h)[n - 1], k),
-        chunked_parallel_sum(lambda n: 1.0 / n, k - 1),
-        chunked_parallel_sum(lambda n: np.array(h)[n - 1], k - 1),
+        *(chunked_parallel_sum(lambda n: 1.0 / n, m) for m in ends),
         chunked_parallel_sum(np.sqrt, k))
-    assert chunked_parallel_pair_sum(columns, 0) == (0.0,) * 5
+    assert chunked_parallel_pair_sum(columns_to((0, 0)), 0) == (0.0,) * 4
+
+
+@pytest.mark.parametrize("end", [-1, 11, 2.5, True, "3", None,
+                                 np.float64(2.0)])
+def test_prefix_ends_must_be_integers_in_range(end):
+    # An end is an integer in 0..k, bool excluded, also at k = 0, where the
+    # callback is asked only for its column count.
+    for k in (0, 10):
+        def columns(idx):
+            yield 1.0 / idx, (k, end)
+
+        with pytest.raises(DomainError, match="prefix end"):
+            chunked_parallel_pair_sum(columns, k)
+
+
+def test_prefix_ends_accept_numpy_integers():
+    def columns(idx):
+        yield idx.astype(np.float64), (np.int64(3), np.int32(4))
+
+    assert chunked_parallel_pair_sum(columns, 10) == (6.0, 10.0)
 
 
 @pytest.mark.parametrize("alternating", [False, True])
 def test_partial_zeta_pair_sum_matches_per_chunk_reference(alternating):
     # partial_zeta's callback at s = 1/2 + i t1, rebuilt here chunk by chunk
     # (its trig factors from the half-angle tangent u: cos = (1 - u^2)/
-    # (1 + u^2), -sin = -2u/(1 + u^2)); every term of every chunk goes to
-    # one math.fsum.
+    # (1 + u^2), -sin = -2u/(1 + u^2)); every term of every chunk to each
+    # end goes to one math.fsum.  The alternating sum is read off the plain
+    # sums to k//2 and k as 2^(1-s) S(s, k//2) - S(s, k).
     t, k = 14.1347251417347, 300_000
     re_terms, im_terms = [], []
     for lo in range(1, k + 1, DEFAULT_CHUNK):
         idx = np.arange(lo, min(lo + DEFAULT_CHUNK, k + 1), dtype=np.int64)
         nf = idx.astype(np.float64)
         w = 1.0 / np.sqrt(nf)
-        if alternating:
-            w = np.where((idx & 1) == 1, -w, w)
         u = np.tan(t * np.log(nf) * 0.5)
         den = u * u + 1.0
         re_terms += ((1.0 - u * u) / den * w).tolist()
         im_terms += (-2.0 * u / den * w).tolist()
+
+    def plain(m):
+        return complex(math.fsum(re_terms[:m]), math.fsum(im_terms[:m]))
+
+    expected = plain(k)
+    if alternating:
+        expected = 2.0 ** (1.0 - complex(0.5, t)) * plain(k // 2) - expected
     z = partial_zeta(0.5, t, k, alternating)
-    assert z.real.hex() == math.fsum(re_terms).hex()
-    assert z.imag.hex() == math.fsum(im_terms).hex()
+    assert z.real.hex() == expected.real.hex()
+    assert z.imag.hex() == expected.imag.hex()
 
 
 # ----------------- chunk length: speed only, bounded memory -----------------
@@ -579,7 +595,7 @@ def test_values_do_not_depend_on_the_chunk_length():
     def values():
         sums = [partial_zeta(0.5, t1, 300_000, alternating)
                 for alternating in (False, True)]
-        pairs = series._gamma_pairs(100_000, zeros)
+        pairs = series._gamma_pairs([100_000], zeros)
         return ([v.hex() for z in sums for v in (z.real, z.imag)]
                 + [e.value.hex() for pair in pairs for e in pair])
 
@@ -595,10 +611,10 @@ def test_zero_list_traversal_memory_is_bounded():
     # peak stays near a dozen arrays of DEFAULT_CHUNK floats.  The first call
     # makes one-off allocations, so it is not counted.
     zeros = _zeros(10)
-    series._gamma_pairs(100_000, zeros)
+    series._gamma_pairs([100_000], zeros)
     tracemalloc.start()
     try:
-        series._gamma_pairs(100_000, zeros)
+        series._gamma_pairs([100_000], zeros)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -613,9 +629,9 @@ def test_fold_point_does_not_follow_the_chunk_length(chunk, monkeypatch):
     sizes = []
     exact_parts = summation._exact_parts
 
-    def spy(x, split):
+    def spy(x, cuts):
         sizes.append(x.size)
-        return exact_parts(x, split)
+        return exact_parts(x, cuts)
 
     monkeypatch.setattr(summation, "_exact_parts", spy)
     monkeypatch.setattr(summation, "DEFAULT_CHUNK", chunk)

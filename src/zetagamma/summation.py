@@ -13,8 +13,9 @@ exactly rounded total of its binary64 inputs.
   ``DEFAULT_CHUNK`` indices by one vectorized call each; the chunk length
   sets the speed only.  The second sums several columns of terms from one
   traversal and returns one total per column; its callback may return the
-  columns or yield them one at a time, and each is reduced as soon as it
-  is produced, so a chunk's live arrays do not grow with the column count.
+  columns or yield them one at a time.  Each is reduced before the next is
+  asked for, so a generator may write every column into one array it
+  keeps: no chunk then allocates its work arrays, whatever the column count.
   Sums run on one thread; the ``workers`` count is validated and
   accepted, but results never depend on it.
 
@@ -30,7 +31,8 @@ above ``2^M max|x|``, each pass lowers the bound on ``max|x|`` by a factor
 own terms, at most 57 seen in tests).  The pass totals of every chunk
 join the sum's column, and one ``fsum`` rounds their exact total once at
 the end: the only step that rounds.  A chunk whose ``sigma`` would exceed
-``2^1023`` (some ``|x_i| >= 2^(1023 - M)``) joins it term by term.
+``2^1023`` (some ``|x_i| >= 2^(1023 - M)``) joins it term by term.  The
+passes write into two rows allocated once per sum, not per chunk.
 
 One extraction serves every prefix of the same terms.  Every ``q`` of a
 pass is a multiple of the unit ``2^-53 sigma``, and ``sum|q| <= n 2^-M
@@ -74,7 +76,7 @@ DEFAULT_CHUNK = 16384
 _FOLD = 4096
 
 #: Largest index range the chunked sums accept.  Every term is computed,
-#: so the runtime grows linearly in k: one gamma estimate takes 2.8-2.9 s at
+#: so the runtime grows linearly in k: one gamma estimate takes 2.8-3.4 s at
 #: k = 1e8 on 2 vCPUs, so about half a minute at this cap.  The real
 #: diagonal sums of ``series.partial_zeta`` above it take an Euler-Maclaurin
 #: route.
@@ -129,17 +131,18 @@ def compensated_sum(terms: Iterable[float] | np.ndarray) -> float:
     return _fsum([float(x) for x in terms])
 
 
-def _exact_parts(x: np.ndarray, cuts: Sequence[int]
+def _exact_parts(x: np.ndarray, cuts: Sequence[int], work: np.ndarray
                  ) -> list[list[float]] | None:
     # Per prefix of x, ending at each cut (increasing positions in
     # 1..x.size-1) and then at x.size, floats whose exact sum is that of the
     # prefix: the extraction's pass totals (see the module docstring), or
     # None where some |x_i| is too close to overflow for a pass.  With cuts,
     # each pass sums the segments between them and keeps the running
-    # totals, all exact.  x is left as it is: the first pass writes what is
-    # left of it to a new array, and the later passes overwrite that one.
+    # totals, all exact.  x is left as it is: each pass writes q and what is
+    # left of x to the two rows of work, of at least x.size floats each.
     m = x.size.bit_length()
-    q = np.abs(x)
+    q, left = work[:, :x.size]
+    np.abs(x, out=q)
     mu = float(q.max(initial=0.0))
     if not math.isfinite(mu):
         raise DomainError("non-finite term in summation input")
@@ -151,7 +154,7 @@ def _exact_parts(x: np.ndarray, cuts: Sequence[int]
         sigma = math.ldexp(1.0, math.frexp(mu)[1] + m)
         np.add(rest, sigma, out=q)
         q -= sigma
-        rest = np.subtract(rest, q, out=None if rest is x else rest)
+        rest = np.subtract(rest, q, out=left)
         if cuts:
             totals = np.add.reduceat(q, (0, *cuts)).cumsum().tolist()
         else:
@@ -160,6 +163,11 @@ def _exact_parts(x: np.ndarray, cuts: Sequence[int]
             prefix.append(total)
         mu = float(np.abs(rest, out=q).max())
     return prefixes
+
+
+def _chunk_rows(count: int, k: int) -> np.ndarray:
+    # count rows as long as the longest chunk of a sum to k.
+    return np.empty((count, min(k, DEFAULT_CHUNK)))
 
 
 def _columns(item, k: int) -> tuple[np.ndarray, list[int]]:
@@ -176,8 +184,8 @@ def _columns(item, k: int) -> tuple[np.ndarray, list[int]]:
 def _chunked_fsum(block_fn: Callable[[np.ndarray], Iterable],
                   k: int, workers: int | None) -> tuple[float, ...]:
     # ``block_fn`` maps one chunk's indices to its items, each a term array
-    # or (terms, ends), and may yield them: each is reduced as soon as it
-    # arrives, so a chunk keeps few arrays alive whatever the column count.
+    # or (terms, ends), and may yield them: each is reduced before the next
+    # is asked for, into the two rows of ``work``, allocated once per sum.
     # Every end of an item is one column, in order, and gains the exact
     # parts of the chunk's terms up to it.  Once a column holds ``_FOLD``
     # floats they are replaced by their own exact parts (a few floats), so
@@ -194,6 +202,7 @@ def _chunked_fsum(block_fn: Callable[[np.ndarray], Iterable],
         _check_positive_int(workers, "worker count")
     columns: list[list[float]] = []
     fold_at: list[int] = []
+    work = _chunk_rows(2, k)
     for lo in range(1, k + 1, chunk):
         hi = min(lo + chunk, k + 1)
         idx = np.arange(lo, hi, dtype=np.int64)
@@ -204,7 +213,7 @@ def _chunked_fsum(block_fn: Callable[[np.ndarray], Iterable],
             # Each end inside the chunk, before its last term, cuts it after
             # the end's own term; an end past the chunk takes all of it.
             cuts = sorted({m - lo + 1 for m in ends if lo <= m < hi - 1})
-            prefixes = _exact_parts(x, cuts)
+            prefixes = _exact_parts(x, cuts, work)
             if prefixes is None:
                 prefixes = [x[:c].tolist() for c in (*cuts, x.size)]
             for m in ends:
@@ -215,7 +224,8 @@ def _chunked_fsum(block_fn: Callable[[np.ndarray], Iterable],
                 if m >= lo:
                     column += prefixes[bisect.bisect_left(cuts, m - lo + 1)]
                 if len(column) >= fold_at[i]:
-                    folded = _exact_parts(np.asarray(column), ())
+                    folded = _exact_parts(np.asarray(column), (),
+                                          np.empty((2, len(column))))
                     if folded is not None:
                         column[:] = folded[0]
                     fold_at[i] = max(_FOLD, 2 * len(column))
@@ -246,12 +256,14 @@ def chunked_parallel_pair_sum(pair_fn: Callable[[np.ndarray], Iterable],
 
     ``pair_fn`` maps an int64 index array to its items (two for a
     cosine/sine pair) that reuse common work (one log per index,
-    typically), returned as a tuple or yielded one at a time; each item is
-    reduced before the next is asked for, so a generator keeps few arrays
-    alive.  An item is a term array, one column summed over ``1..k``, or a
-    pair ``(terms, ends)``: each end ``m``, an integer in ``0..k``, is one
-    column, in order, that sums ``terms_n`` over ``1..m``; ends may repeat
-    and come in any order.  All ends of an item come from one exact
+    typically), returned as a tuple or yielded one at a time.  Each item is
+    reduced before the next is asked for, so a generator may overwrite one
+    array and yield it again for every column; items returned as a tuple
+    all exist at once, so they must not share arrays.  An item is a term
+    array, one column summed over ``1..k``, or a pair ``(terms, ends)``:
+    each end ``m``, an integer in ``0..k``, is one column, in order, that
+    sums ``terms_n`` over ``1..m``; ends may repeat and come in any order.
+    All ends of an item come from one exact
     reduction per chunk (see the module docstring), and each total is
     exactly ``math.fsum`` of that column's terms.  At ``k = 0`` no chunk
     runs, so ``pair_fn`` is called once on an empty index array to learn

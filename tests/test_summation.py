@@ -1,11 +1,16 @@
 """Compensated summation engine: accuracy bounds and determinism."""
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -431,6 +436,38 @@ def test_columns_may_be_yielded():
             chunked_parallel_pair_sum(listed, k)
 
 
+@pytest.mark.parametrize("chunk, k", [(1, 500), (3, 1000),
+                                      (DEFAULT_CHUNK, 40_000)])
+def test_a_generator_may_overwrite_one_array_for_every_column(
+        chunk, k, monkeypatch):
+    # Each yielded item is reduced before the next is asked for, so a
+    # generator may write every column of a chunk into one array and yield
+    # it again (partial_zeta's callback does), ends inside chunks included.
+    monkeypatch.setattr(summation, "DEFAULT_CHUNK", chunk)
+    ends = (1, 2, k // 3, k // 2 + 1, k - 1, k)
+
+    def terms(idx):
+        nf = idx.astype(np.float64)
+        return np.cos(nf) / nf, np.sin(nf) / np.sqrt(nf), 1.0 / nf
+
+    def fresh(idx):
+        for x in terms(idx):
+            yield x, ends
+
+    block = np.empty(chunk)
+
+    def reused(idx):
+        out = block[:idx.size]
+        for x in terms(idx):
+            out[...] = x
+            yield out, ends
+
+    got = chunked_parallel_pair_sum(reused, k)
+    assert len(got) == 3 * len(ends)
+    assert [g.hex() for g in got] == \
+        [e.hex() for e in chunked_parallel_pair_sum(fresh, k)]
+
+
 def test_chunked_total_bit_identical_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -621,6 +658,52 @@ def test_zero_list_traversal_memory_is_bounded():
     assert peak < 1.5e6
 
 
+_FAULTS = """
+import json, resource
+from zetagamma import builtin_catalog, get_zero
+from zetagamma.series import _gamma_pairs
+from zetagamma.tables import TableSpec, build_table
+t1 = get_zero(builtin_catalog(), 1).t
+calls = {f"T{i}": lambda i=i: build_table(TableSpec(f"T{i}"))
+         for i in range(1, 7)}
+calls["pairs"] = lambda: _gamma_pairs([10**6], [(t1, 1)])
+faults = {}
+for name, run in calls.items():
+    run()
+    run()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run()
+    faults[name] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps(faults))
+"""
+
+
+@pytest.fixture(scope="module")
+def warm_faults():
+    # Minor page faults of one warm call of each table and of one gamma
+    # pair at k = 1e6, counted in a fresh process: what this process ran
+    # before would set the allocator's state.
+    pytest.importorskip("resource")
+    src = str(Path(summation.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-c", _FAULTS],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("call, bound", [
+    *((f"T{i}", 100) for i in range(1, 7)), ("pairs", 500)])
+def test_traversals_do_not_page_fault_per_chunk(warm_faults, call, bound):
+    # Every traversal computes its chunks into one work block of its own
+    # and extracts into rows allocated once per sum, so a warm call faults
+    # in almost no fresh page; freeing and refetching chunk arrays instead
+    # cost 490-1536 minor faults per table and 9856 per gamma pair.  The
+    # first free of a block raises glibc's mmap threshold past its size, so
+    # the next call still grows the heap once: two warm-up calls, then the
+    # third is counted.
+    assert warm_faults[call] < bound, warm_faults
+
+
 @pytest.mark.parametrize("chunk", [1, 3, 1000])
 def test_fold_point_does_not_follow_the_chunk_length(chunk, monkeypatch):
     # Ones give one exact part per chunk (its length, in one pass), so a
@@ -629,9 +712,9 @@ def test_fold_point_does_not_follow_the_chunk_length(chunk, monkeypatch):
     sizes = []
     exact_parts = summation._exact_parts
 
-    def spy(x, cuts):
+    def spy(x, cuts, work):
         sizes.append(x.size)
-        return exact_parts(x, cuts)
+        return exact_parts(x, cuts, work)
 
     monkeypatch.setattr(summation, "_exact_parts", spy)
     monkeypatch.setattr(summation, "DEFAULT_CHUNK", chunk)

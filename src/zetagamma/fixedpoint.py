@@ -6,6 +6,11 @@ from the cosine asymptotic equation (cotangent form).  Iterating either
 from a nearby starting value can recover a zero ordinate, but convergence
 is fragile - it depends strongly on the truncation k and the start point,
 so non-convergence is reported as a status, never an exception.
+
+Both maps read their sums off ``series``' one traversal of n = 1..k and
+define no term callback of their own.  The g map needs only
+``Re S(1/2 + it, k)``, so its traversal skips the sine half of the trig
+kernel.
 """
 
 from __future__ import annotations
@@ -15,19 +20,16 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DomainError, SingularGuardError
 from .series import (
     EULER_GAMMA,
     SeriesParams,
-    _half_angle,
     _offdiag,
     _partial_zeta_direct,
     offdiag_factorized,
     partial_zeta,
 )
-from .summation import _check_positive_int, _chunk_rows, chunked_parallel_sum
+from .summation import _check_positive_int
 
 #: Guard on |sin(t log k)| and |cos(t log k)| in the g map; the cot and
 #: sec factors amplify roundoff without bound near their poles.
@@ -150,23 +152,9 @@ def g_of_t(t: float, k: int) -> float:
         raise SingularGuardError(
             f"t log k = {x!r} sits within {SINGULARITY_EPS} of a trig pole "
             f"(|sin|={abs(s):.3e}, |cos|={abs(c):.3e})")
-    # Only Re S(1/2 + it, k) is needed: a cosine-only sum skips the sine
-    # column, its reduction and the sine half of the kernel, and takes
-    # 0.63 of the time of partial_zeta(...).real (0.625-0.635 at k = 1e6,
-    # minima of 25 calls in six processes), so g keeps its own callback.
-    # Each chunk is computed into one block of four rows: n; cos; log n,
-    # then the kernel's u; the kernel's den, then sqrt(n).
-    block = _chunk_rows(4, k)
-
-    def cos_terms(idx: np.ndarray) -> np.ndarray:
-        nf, cos, u, den = block[:, :idx.size]
-        nf[...] = idx
-        _half_angle(t, np.log(nf, out=u), cos, u, den)
-        cos /= np.sqrt(nf, out=den)
-        return cos
-
-    cos_sum = chunked_parallel_sum(cos_terms, k)
-    return (c / s) * ((0.25 + t * t) / (math.sqrt(k) * c) * cos_sum - 0.5)
+    # Only Re S(1/2 + it, k) is needed: the sine half is not computed.
+    [[z]] = _partial_zeta_direct(((0.5, t, (k,)),), imag=False)
+    return (c / s) * ((0.25 + t * t) / (math.sqrt(k) * c) * z.real - 0.5)
 
 
 def iterate_fixed_point(map: FixedPointMap, y0: float, k: int,

@@ -10,17 +10,20 @@ Euler-Maclaurin route: a short head (15 terms for ``H_k``) is summed
 directly and the rest is the integral plus Bernoulli corrections, in
 O(1) time.
 
-Every Dirichlet term's trig factors come from one kernel, ``_cos_msin``:
-with ``u = tan(x/2)`` at ``x = t log n``, ``cos x = (1 - u^2)/(1 + u^2)``
-and ``-sin x = -2u/(1 + u^2)``.  numpy evaluates float64 ``tan`` with SIMD
-instructions where its ``cos`` and ``sin`` take the scalar libm path, so
-one tangent costs about a third of the pair.  Against cos and sin of the
-rounded ``x`` the kernel is off by at most 2.25 * 2^-53 (cos) and
-1.98 * 2^-53 (sin) in absolute terms, measured against extended precision
-on 1.1e7 arguments in [0, 1e9); a correctly rounded cos is off by 0.5 *
-2^-53, and the rounding of ``x`` itself puts about ``|x| 2^-53`` into every
-term.  Only the brute-force oracle ``offdiag_naive`` keeps ``np.cos``, so
-that it stays independent of the kernel.
+Every Dirichlet term's trig factors come from one kernel, ``_cos_msin``,
+called only by the traversal ``_partial_zeta_direct``: with
+``u = tan(x/2)`` at ``x = t log n``, ``cos x = (1 - u^2)/(1 + u^2)`` and
+``-sin x = -2u/(1 + u^2)``.  A traversal that needs only real parts (the
+g map's) runs its cosine half, ``_half_angle``, alone.  numpy evaluates
+float64 ``tan`` with SIMD instructions where its ``cos`` and ``sin`` take
+the scalar libm path, so one tangent costs about a third of the pair.
+Against cos and sin of the rounded ``x`` the kernel is off by at most
+2.25 * 2^-53 (cos) and 1.98 * 2^-53 (sin) in absolute terms, measured
+against extended precision on 1.1e7 arguments in [0, 1e9); a correctly
+rounded cos is off by 0.5 * 2^-53, and the rounding of ``x`` itself puts
+about ``|x| 2^-53`` into every term.  Only the brute-force oracle
+``offdiag_naive`` keeps ``np.cos``, so that it stays independent of the
+kernel.
 
 The two headline results are ``gamma_type1`` and ``gamma_type2``:
 estimates of the Euler-Mascheroni constant built from a single
@@ -40,7 +43,8 @@ k for all its zeros and all its k: the diagonals H_k and H_(k-1) do not
 depend on the zero and are summed once, and each chunk takes log n and
 n^-1/2 once for all zeros and the trig factors once per ordinate.  Each
 value is bit-identical to a call for that zero and k alone.  Every chunk
-is computed into one work block per traversal, not into new arrays.
+is computed into one work block per traversal, not into new arrays: n is
+converted to float once, and n^-sigma and log n are taken from that row.
 """
 
 from __future__ import annotations
@@ -155,24 +159,17 @@ _EM_COEFFS = tuple(float(b / math.factorial(2 * j)) for j, b in
 _EM_TOL = 2.0 ** -64
 
 
-def _n_pow(idx: np.ndarray, sigma: float, alternating: bool = False,
-           out: np.ndarray | None = None) -> np.ndarray:
-    # e_n n^-sigma, into out if given: 1/sqrt(n) at sigma = 1/2, 1/n at
-    # sigma = 1 (bit-identical to numpy's n ** -1.0 at every n <= 1e9 with
-    # numpy 2.4 on x86-64, in half its time), else n ** -sigma in place;
-    # negated at odd n when alternating.  idx is a run of consecutive
-    # integers, so the odd n sit at every second entry.
-    w = np.empty(idx.shape) if out is None else out
-    w[...] = idx
+def _n_pow(n: np.ndarray, sigma: float, out: np.ndarray) -> np.ndarray:
+    # n^-sigma of the float row n, written to out: 1/sqrt(n) at sigma = 1/2,
+    # 1/n at sigma = 1 (bit-identical to numpy's n ** -1.0 at every n <= 1e9
+    # with numpy 2.4 on x86-64, in half its time), else n ** -sigma.
     if sigma == 0.5:
-        np.sqrt(w, out=w)
-    if sigma in (0.5, 1.0):
-        np.divide(1.0, w, out=w)
+        np.divide(1.0, np.sqrt(n, out=out), out=out)
+    elif sigma == 1.0:
+        np.divide(1.0, n, out=out)
     else:
-        w **= -sigma
-    if alternating and idx.size:
-        w[1 - int(idx[0]) % 2::2] *= -1.0
-    return w
+        np.power(n, -sigma, out=out)
+    return out
 
 
 def _half_angle(t: float, log_n: np.ndarray, cos: np.ndarray, u: np.ndarray,
@@ -194,33 +191,33 @@ def _half_angle(t: float, log_n: np.ndarray, cos: np.ndarray, u: np.ndarray,
     return cos, u, den
 
 
-def _cos_msin(t: float, log_n: np.ndarray, rows: np.ndarray | None = None
+def _cos_msin(t: float, log_n: np.ndarray, rows: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
     # cos(x) and -sin(x) = -2u/(1 + u^2) at x = t log n, from _half_angle
-    # into the three rows given (cos, -sin and a scratch row) or new ones.
+    # into the three rows given: cos, -sin and a scratch row.
     # These two steps raise no numpy warning, so they need no errstate: u is
     # nan or below 2^62 in magnitude (no binary64 argument comes closer to a
     # pole of tan; the nearest is 6381956970095103 * 2^797, with tan about
     # -2.1e18), and den = 1 + u^2 >= 1 or nan.
-    if rows is None:
-        rows = np.empty((3, np.size(log_n)))
     cos, u, den = _half_angle(t, log_n, *rows)
     u *= -2.0
     u /= den
     return cos, u
 
 
-def _partial_zeta_direct(parts: Sequence[tuple[float, float, Sequence[int]]]
-                         ) -> list[list[complex]]:
+def _partial_zeta_direct(parts: Sequence[tuple[float, float, Sequence[int]]],
+                         imag: bool = True) -> list[list[complex]]:
     # [S(sigma + it, m) for m in ends] for each (sigma, t, ends) in parts,
     # in order, from one traversal of n = 1..max end.  Each chunk is
-    # computed into the rows of one block: n^-sigma once per distinct sigma,
-    # log n once (n, then its log in place), and the trig factors
-    # (_cos_msin) once per run of parts sharing t.  Each part yields its
-    # trig columns with its ends, all written to one output row (den's,
-    # free once -sin is taken): the chunked sum reduces each item before it
-    # asks for the next, and reads every end off one reduction per column.
-    # At t == 0 only the real part is summed, off the n^-sigma row.
+    # computed into the rows of one block: n as floats once, into the log
+    # row, then n^-sigma from it once per distinct sigma and its log in
+    # place; the trig factors once per part.  Each part yields its trig
+    # columns with its ends, all written to one output row (den's, free
+    # once -sin is taken): the chunked sum reduces each item before it asks
+    # for the next, and reads every end off one reduction per column.  At
+    # t == 0 only the real part is summed, off the n^-sigma row; with imag
+    # false, every part's real part alone, from the kernel's cosine half
+    # (_half_angle).  An imaginary part not summed is 0.0.
     k = max((m for _, _, ends in parts for m in ends), default=0)
     sigmas = list(dict.fromkeys(sigma for sigma, _, _ in parts))
     trig = any(t != 0.0 for _, t, _ in parts)
@@ -228,29 +225,29 @@ def _partial_zeta_direct(parts: Sequence[tuple[float, float, Sequence[int]]]
 
     def columns(idx: np.ndarray):
         log_n, cos, msin, out, *rows = block[:, :idx.size]
-        powers = {sigma: _n_pow(idx, sigma, out=row)
+        log_n[...] = idx
+        powers = {sigma: _n_pow(log_n, sigma, row)
                   for sigma, row in zip(sigmas, rows)}
         if trig:
-            log_n[...] = idx
             np.log(log_n, out=log_n)
-        trig_t = None
         for sigma, t, ends in parts:
             w = powers[sigma]
             if t == 0.0:
                 yield w, ends
-                continue
-            if t != trig_t:
+            elif imag:
                 _cos_msin(t, log_n, (cos, msin, out))
-                trig_t = t
-            yield np.multiply(cos, w, out=out), ends
-            yield np.multiply(msin, w, out=out), ends
+                yield np.multiply(cos, w, out=out), ends
+                yield np.multiply(msin, w, out=out), ends
+            else:
+                _half_angle(t, log_n, cos, msin, out)
+                yield np.multiply(cos, w, out=out), ends
 
     totals = iter(chunked_parallel_pair_sum(columns, k))
     sums: list[list[complex]] = []
     for _, t, ends in parts:
         real = [next(totals) for _ in ends]
-        imag = [0.0 if t == 0.0 else next(totals) for _ in ends]
-        sums.append(list(map(complex, real, imag)))
+        im = [next(totals) if imag and t != 0.0 else 0.0 for _ in ends]
+        sums.append(list(map(complex, real, im)))
     return sums
 
 
@@ -459,7 +456,9 @@ def offdiag_naive(params: SeriesParams, alternating: bool) -> float:
         return 0.0
     t = params.t
     nf = np.arange(1, k + 1, dtype=np.float64)
-    w = _n_pow(np.arange(1, k + 1), params.sigma, alternating)
+    w = _n_pow(nf, params.sigma, np.empty(k))
+    if alternating:
+        w[::2] *= -1.0
     rows: list[float] = []
     n0 = 1
     while n0 < k:

@@ -71,6 +71,20 @@ def test_g_map_iterates_at_one_million():
         assert abs(got - want) <= 1e-12
 
 
+@pytest.mark.parametrize("t, k", [
+    *((14.2, k) for k in (2, 4097, 16384, 16385, 100003, 10**6)),
+    (236.5, 300000)])
+def test_g_reads_the_real_part_of_partial_zeta(t, k):
+    # g's cosine sum is Re S(1/2 + it, k) from the shared traversal, bit for
+    # bit: the same n^-1/2 row and kernel, the sine half skipped.  A sum of
+    # cos/sqrt(n) instead of cos * n^-1/2 differs at (14.2, 16385).
+    x = t * math.log(k)
+    c, s = math.cos(x), math.sin(x)
+    cos_sum = series.partial_zeta(0.5, t, k).real
+    expected = (c / s) * ((0.25 + t * t) / (math.sqrt(k) * c) * cos_sum - 0.5)
+    assert g_of_t(t, k).hex() == expected.hex()
+
+
 def test_g_singular_guard():
     k = 1000
     with pytest.raises(SingularGuardError):

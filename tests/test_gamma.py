@@ -98,7 +98,8 @@ def _sum_to(t, m):
     def column(trig):
         def terms(idx):
             nf = idx.astype(np.float64)
-            return series._cos_msin(t, np.log(nf))[trig] * (1.0 / np.sqrt(nf))
+            trig_row = series._cos_msin(t, np.log(nf), np.empty((3, nf.size)))[trig]
+            return trig_row * (1.0 / np.sqrt(nf))
         return chunked_parallel_sum(terms, m)
 
     return complex(column(0), column(1))

@@ -1,6 +1,6 @@
 """Static checks on the package sources: no dead imports, no dead private code,
-no default that no call overrides, and numpy cos/sin only in the brute-force
-oracle."""
+no default that no call overrides, numpy cos/sin only in the brute-force
+oracle, and the half-angle kernel only in the shared traversal."""
 
 import ast
 from pathlib import Path
@@ -109,6 +109,62 @@ def test_numpy_trig_check_flags_calls_outside_the_oracle():
         "    f = np.cos\n"
         "    return np.sin(x) + f(x) + np.tan(x)\n")
     assert _numpy_trig_outside_oracle(ast.parse(source)) == [2, 6, 7]
+
+
+#: The half-angle kernel's functions and the only functions that may reach
+#: them.  Every Dirichlet term is computed by one traversal,
+#: series._partial_zeta_direct, so no second term callback grows back.
+KERNEL_CALLERS = {
+    "_half_angle": {("series.py", "_partial_zeta_direct"),
+                    ("series.py", "_cos_msin")},
+    "_cos_msin": {("series.py", "_partial_zeta_direct")},
+}
+
+
+def _kernel_uses_outside(module: str, tree: ast.Module) -> list[tuple[int, str]]:
+    # (line, name) for every read or import of a kernel function outside
+    # the functions (and the functions nested in them) KERNEL_CALLERS allows.
+    found = []
+    for name, callers in KERNEL_CALLERS.items():
+        allowed = {id(node)
+                   for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and (module, fn.name) in callers
+                   for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if ((isinstance(node, ast.Name) and node.id == name)
+                    or (isinstance(node, ast.Attribute) and node.attr == name)
+                    or (isinstance(node, ast.ImportFrom)
+                        and any(alias.name == name for alias in node.names))):
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_half_angle_kernel_only_in_the_shared_traversal(module):
+    uses = _kernel_uses_outside(module, TREES[module])
+    assert not uses, f"{module}: kernel reached outside _partial_zeta_direct at {uses}"
+
+
+def test_kernel_check_flags_a_second_term_callback():
+    source = (
+        "from .series import _half_angle\n"
+        "def _cos_msin(t, x, rows):\n"
+        "    return _half_angle(t, x, *rows)\n"
+        "def _partial_zeta_direct(parts):\n"
+        "    def columns(idx):\n"
+        "        _cos_msin(1.0, idx, rows)\n"
+        "        _half_angle(1.0, idx, *rows)\n"
+        "def g_of_t(t, k):\n"
+        "    kernel = series._cos_msin\n"
+        "    return _half_angle(t, k, *rows)\n")
+    tree = ast.parse(source)
+    assert _kernel_uses_outside("series.py", tree) == [
+        (1, "_half_angle"), (9, "_cos_msin"), (10, "_half_angle")]
+    assert _kernel_uses_outside("fixedpoint.py", tree) == [
+        (1, "_half_angle"), (3, "_half_angle"), (6, "_cos_msin"),
+        (7, "_half_angle"), (9, "_cos_msin"), (10, "_half_angle")]
 
 
 #: Parameters with a default that no call inside the package passes, each

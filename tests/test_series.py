@@ -289,11 +289,18 @@ def test_partial_zeta_empty_and_non_finite():
         partial_zeta(0.5, math.nan, 10)
 
 
-def test_n_pow_alternates_from_any_start():
-    idx = np.arange(4, 10)
-    expected = [(-1.0) ** n / math.sqrt(n) for n in range(4, 10)]
-    assert series_module._n_pow(idx, 0.5, alternating=True).tolist() == expected
-    assert series_module._n_pow(idx[:0], 0.5, alternating=True).size == 0
+def test_n_pow_writes_powers_of_a_float_row():
+    # n^-sigma into out, n left as it is: exactly 1/sqrt(n) and 1/n on their
+    # own branches, numpy's n ** -sigma elsewhere.  The signs of the
+    # alternating oracle are pinned by test_offdiag_naive_matches_double_loop.
+    n = np.arange(1.0, 10.0)
+    for sigma, expected in ((0.5, [1.0 / math.sqrt(m) for m in range(1, 10)]),
+                            (1.0, [1.0 / m for m in range(1, 10)]),
+                            (0.3, (n ** -0.3).tolist())):
+        out = np.empty(n.size)
+        assert series_module._n_pow(n, sigma, out) is out
+        assert out.tolist() == expected
+    assert n.tolist() == list(range(1, 10))
 
 
 # ------------------ trig factors from the half-angle tangent -----------------
@@ -311,7 +318,7 @@ def test_cos_msin_kernel_against_extended_precision():
         rng.uniform(0.0, 1e9, 100_000), rng.uniform(0.0, 10.0, 20_000),
         m * (math.pi / 2.0) + rng.uniform(-1e-6, 1e-6, m.size),
         np.arange(0, 64) * (math.pi / 2.0), [0.0, 5e-324, 1e-300]])
-    cos, msin = series_module._cos_msin(1.0, x)
+    cos, msin = series_module._cos_msin(1.0, x, np.empty((3, x.size)))
     xl = x.astype(np.longdouble)
     bound = 3.0 * 2.0 ** -53
     assert float(np.abs(cos.astype(np.longdouble) - np.cos(xl)).max()) <= bound
@@ -321,7 +328,8 @@ def test_cos_msin_kernel_against_extended_precision():
 def test_cos_msin_kernel_gives_nan_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cos, msin = series_module._cos_msin(1e308, np.log([1.0, 1e3]))
+        cos, msin = series_module._cos_msin(1e308, np.log([1.0, 1e3]),
+                                            np.empty((3, 2)))
     assert cos[0] == 1.0 and msin[0] == 0.0
     assert math.isnan(cos[1]) and math.isnan(msin[1])
 
@@ -337,7 +345,7 @@ def test_partial_zeta_matches_the_cos_sin_route(t, k, alternating):
 
     def columns(idx):
         nf = idx.astype(np.float64)
-        w = series_module._n_pow(idx, 0.5)
+        w = 1.0 / np.sqrt(nf)
         arg = t * np.log(nf)
         return (np.cos(arg) * w, ends), (-np.sin(arg) * w, ends)
 

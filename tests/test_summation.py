@@ -660,13 +660,14 @@ def test_zero_list_traversal_memory_is_bounded():
 
 _FAULTS = """
 import json, resource
-from zetagamma import builtin_catalog, get_zero
+from zetagamma import builtin_catalog, g_of_t, get_zero
 from zetagamma.series import _gamma_pairs
 from zetagamma.tables import TableSpec, build_table
 t1 = get_zero(builtin_catalog(), 1).t
 calls = {f"T{i}": lambda i=i: build_table(TableSpec(f"T{i}"))
          for i in range(1, 7)}
 calls["pairs"] = lambda: _gamma_pairs([10**6], [(t1, 1)])
+calls["g"] = lambda: g_of_t(t1, 10**6)
 faults = {}
 for name, run in calls.items():
     run()
@@ -680,9 +681,9 @@ print(json.dumps(faults))
 
 @pytest.fixture(scope="module")
 def warm_faults():
-    # Minor page faults of one warm call of each table and of one gamma
-    # pair at k = 1e6, counted in a fresh process: what this process ran
-    # before would set the allocator's state.
+    # Minor page faults of one warm call of each table, of one gamma pair
+    # and of one g step at k = 1e6, counted in a fresh process: what this
+    # process ran before would set the allocator's state.
     pytest.importorskip("resource")
     src = str(Path(summation.__file__).parent.parent)
     proc = subprocess.run([sys.executable, "-c", _FAULTS],
@@ -692,15 +693,15 @@ def warm_faults():
 
 
 @pytest.mark.parametrize("call, bound", [
-    *((f"T{i}", 100) for i in range(1, 7)), ("pairs", 500)])
+    *((f"T{i}", 100) for i in range(1, 7)), ("pairs", 500), ("g", 100)])
 def test_traversals_do_not_page_fault_per_chunk(warm_faults, call, bound):
     # Every traversal computes its chunks into one work block of its own
     # and extracts into rows allocated once per sum, so a warm call faults
     # in almost no fresh page; freeing and refetching chunk arrays instead
-    # cost 490-1536 minor faults per table and 9856 per gamma pair.  The
-    # first free of a block raises glibc's mmap threshold past its size, so
-    # the next call still grows the heap once: two warm-up calls, then the
-    # third is counted.
+    # cost 490-1536 minor faults per table, 9856 per gamma pair and 224 per
+    # g step on a cosine callback of its own.  The first free of a block
+    # raises glibc's mmap threshold past its size, so the next call still
+    # grows the heap once: two warm-up calls, then the third is counted.
     assert warm_faults[call] < bound, warm_faults
 
 

@@ -35,16 +35,17 @@ checked against the brute-force oracle ``offdiag_naive``.
 Every sum is a plain one to a prefix end.  The alternating sum is
 ``2^(1-s) S(s, k//2) - S(s, k)`` (the even n give ``2^(1-s)`` times the
 sum to k//2), and type2 takes the plain sum at k-1, so one unsigned trig
-column serves both estimators at every k: the chunked sum reduces it
-exactly once and reads each end off that reduction (see
-:mod:`zetagamma.summation`), each correctly rounded from its own exact
-total.  A table therefore takes one traversal of n = 1..k at its largest
-k for all its zeros and all its k: the diagonals H_k and H_(k-1) do not
-depend on the zero and are summed once, and each chunk takes log n and
-n^-1/2 once for all zeros and the trig factors once per ordinate.  Each
-value is bit-identical to a call for that zero and k alone.  Every chunk
-is computed into one work block per traversal, not into new arrays: n is
-converted to float once, and n^-sigma and log n are taken from that row.
+column serves both estimators at every k: its ends are declared once per
+sum, and the chunked sum reduces it exactly once and reads each end off
+that reduction (see :mod:`zetagamma.summation`), each correctly rounded
+from its own exact total.  A table therefore takes one traversal of
+n = 1..k at its largest k for all its zeros and all its k: the diagonals
+H_k and H_(k-1) do not depend on the zero and are summed once, and each
+chunk takes log n and n^-1/2 once for all zeros and the trig factors once
+per ordinate.  Each value is bit-identical to a call for that zero and k
+alone.  Every chunk is computed into one work block per traversal, not
+into new arrays: n is converted to float once, and n^-sigma and log n are
+taken from that row.
 """
 
 from __future__ import annotations
@@ -212,15 +213,17 @@ def _partial_zeta_direct(parts: Sequence[tuple[float, float, Sequence[int]]],
     # computed into the rows of one block: n as floats once, into the log
     # row, then n^-sigma from it once per distinct sigma and its log in
     # place; the trig factors once per part.  Each part yields its trig
-    # columns with its ends, all written to one output row (den's, free
-    # once -sin is taken): the chunked sum reduces each item before it asks
-    # for the next, and reads every end off one reduction per column.  At
-    # t == 0 only the real part is summed, off the n^-sigma row; with imag
-    # false, every part's real part alone, from the kernel's cosine half
-    # (_half_angle).  An imaginary part not summed is 0.0.
+    # columns, all written to one output row (den's, free once -sin is
+    # taken), and declares its ends once per column: the chunked sum reduces
+    # each array before it asks for the next, and reads every end off one
+    # reduction per column.  At t == 0 only the real part is summed, off the
+    # n^-sigma row; with imag false, every part's real part alone, from the
+    # kernel's cosine half (_half_angle).  An imaginary part not summed is 0.0.
     k = max((m for _, _, ends in parts for m in ends), default=0)
     sigmas = list(dict.fromkeys(sigma for sigma, _, _ in parts))
     trig = any(t != 0.0 for _, t, _ in parts)
+    layout = [ends for _, t, ends in parts
+              for _ in range(2 if imag and t != 0.0 else 1)]
     block = _chunk_rows(4 + len(sigmas), k)
 
     def columns(idx: np.ndarray):
@@ -230,19 +233,19 @@ def _partial_zeta_direct(parts: Sequence[tuple[float, float, Sequence[int]]],
                   for sigma, row in zip(sigmas, rows)}
         if trig:
             np.log(log_n, out=log_n)
-        for sigma, t, ends in parts:
+        for sigma, t, _ in parts:
             w = powers[sigma]
             if t == 0.0:
-                yield w, ends
+                yield w
             elif imag:
                 _cos_msin(t, log_n, (cos, msin, out))
-                yield np.multiply(cos, w, out=out), ends
-                yield np.multiply(msin, w, out=out), ends
+                yield np.multiply(cos, w, out=out)
+                yield np.multiply(msin, w, out=out)
             else:
                 _half_angle(t, log_n, cos, msin, out)
-                yield np.multiply(cos, w, out=out), ends
+                yield np.multiply(cos, w, out=out)
 
-    totals = iter(chunked_parallel_pair_sum(columns, k))
+    totals = iter(chunked_parallel_pair_sum(columns, k, layout))
     sums: list[list[complex]] = []
     for _, t, ends in parts:
         real = [next(totals) for _ in ends]
@@ -403,13 +406,17 @@ def stieltjes_estimate(n: int, m: int) -> float:
     """
     n = _check_positive_int(n, "n", minimum=0)
     m = _check_positive_int(m, "m", minimum=2)
+    try:  # first: from m = 3 on, no term (log j)^n overflows unless this does
+        tail = math.log(m) ** (n + 1) / (n + 1)
+    except OverflowError:
+        raise DomainError("(log m)^(n+1) exceeds binary64") from None
     if n == 0:
         series = harmonic_partial_sum(m)
     else:
         # (log j)^n / j is not an n^-s sum, so it keeps its own callback.
         series = chunked_parallel_sum(
             lambda j: np.log(j.astype(np.float64)) ** n / j, m)
-    return series - math.log(m) ** (n + 1) / (n + 1)
+    return series - tail
 
 
 def trig_sums(params: SeriesParams, alternating: bool) -> TrigSums:

@@ -11,13 +11,14 @@ exactly rounded total of its binary64 inputs.
 * ``chunked_parallel_sum`` / ``chunked_parallel_pair_sum`` - exactly
   ``math.fsum`` of the terms at ``n = 1..k``, computed in chunks of
   ``DEFAULT_CHUNK`` indices by one vectorized call each; the chunk length
-  sets the speed only.  The second sums several columns of terms from one
-  traversal and returns one total per column; its callback may return the
-  columns or yield them one at a time.  Each is reduced before the next is
-  asked for, so a generator may write every column into one array it
-  keeps: no chunk then allocates its work arrays, whatever the column count.
-  Sums run on one thread; the ``workers`` count is validated and
-  accepted, but results never depend on it.
+  sets the speed only.  The second sums several term arrays from one
+  traversal, each to the prefix ends declared for it once per sum, and
+  returns one total per end; its callback may return the arrays or yield
+  them one at a time.  Each is reduced before the next is asked for, so a
+  generator may write every array into one it keeps: no chunk then
+  allocates its work arrays, whatever the array count.  Sums run on one
+  thread; the ``workers`` count is validated and accepted, but results
+  never depend on it.
 
 A chunk is not handed to ``fsum`` term by term.  It is first reduced
 exactly in numpy by the error-free extraction of Rump, Ogita and Oishi
@@ -37,15 +38,16 @@ passes write into two rows allocated once per sum, not per chunk.
 One extraction serves every prefix of the same terms.  Every ``q`` of a
 pass is a multiple of the unit ``2^-53 sigma``, and ``sum|q| <= n 2^-M
 sigma < sigma``, so the sum of any subset of a pass is a multiple of that
-unit below ``sigma`` in magnitude: exact.  A callback item of
-``chunked_parallel_pair_sum`` may therefore be ``(terms, ends)``: each end
-``m`` is one column, the sum of the terms at ``n = 1..m``.  A chunk that
-holds no end takes one plain sum per pass; where ends fall inside it, each
-pass takes the sums of the segments between them (``np.add.reduceat``)
-and their running totals, all exact.  Each end is thus rounded once from
-its own exact total, exactly ``math.fsum`` of its terms.  The alternating
-sums and the sums cut at ``k - 1`` of ``series`` are built from such
-prefix ends.
+unit below ``sigma`` in magnitude: exact.  ``chunked_parallel_pair_sum``
+therefore takes, with its callback, the prefix ends of each term array:
+each end ``m`` is one column, the sum of the terms at ``n = 1..m``.  The
+ends are checked and sorted once per sum, and a repeated end shares its
+column.  A chunk that holds no end takes one plain sum per pass; where
+ends fall inside it (two bisects find them), each pass takes the sums of
+the segments between them (``np.add.reduceat``) and their running totals,
+all exact.  Each end is thus rounded once from its own exact total,
+exactly ``math.fsum`` of its terms.  The alternating sums and the sums
+cut at ``k - 1`` of ``series`` are built from such prefix ends.
 
 The parts do not pile up: once a column holds ``_FOLD`` floats, the same
 extraction folds them into its few exact pass totals, so folding never
@@ -170,67 +172,62 @@ def _chunk_rows(count: int, k: int) -> np.ndarray:
     return np.empty((count, min(k, DEFAULT_CHUNK)))
 
 
-def _columns(item, k: int) -> tuple[np.ndarray, list[int]]:
-    # A callback item: a term array (one column, to k) or (terms, ends).
-    if not isinstance(item, tuple):
-        return item, [k]
-    terms, ends = item
-    ends = [_check_positive_int(m, "prefix end", minimum=0) for m in ends]
-    if any(m > k for m in ends):
-        raise DomainError(f"prefix end must be <= k = {k}")
-    return terms, ends
-
-
-def _chunked_fsum(block_fn: Callable[[np.ndarray], Iterable],
-                  k: int, workers: int | None) -> tuple[float, ...]:
-    # ``block_fn`` maps one chunk's indices to its items, each a term array
-    # or (terms, ends), and may yield them: each is reduced before the next
+def _chunked_fsum(block_fn: Callable[[np.ndarray], Iterable[np.ndarray]],
+                  k: int, ends: Sequence[Sequence[int]], workers: int | None
+                  ) -> tuple[float, ...]:
+    # ``block_fn`` maps one chunk's indices to its term arrays, one per
+    # entry of ``ends``, and may yield them: each is reduced before the next
     # is asked for, into the two rows of ``work``, allocated once per sum.
-    # Every end of an item is one column, in order, and gains the exact
-    # parts of the chunk's terms up to it.  Once a column holds ``_FOLD``
-    # floats they are replaced by their own exact parts (a few floats), so
-    # no column grows with k; the final fsum rounds the exact total once.
-    # The next fold waits until the column has doubled, which bounds the
-    # work when the parts are many (a tiny chunk length) or when parts near
-    # overflow cannot be folded and stay as they are.  At k = 0 no chunk
-    # runs and the result is ().
+    # Each array's distinct ends, checked and sorted once, are its columns;
+    # a column gains the exact parts of the chunk's terms up to its end.
+    # Once a column holds ``_FOLD`` floats they are replaced by their own
+    # exact parts (a few floats), so no column grows with k; the final fsum
+    # rounds the exact total once.  The next fold waits until the column
+    # has doubled, which bounds the work when the parts are many (a tiny
+    # chunk length) or when parts near overflow cannot be folded and stay
+    # as they are.  At k = 0 no chunk runs and every total is 0.0.
     k = _check_positive_int(k, "k", minimum=0)
-    chunk = DEFAULT_CHUNK
     if k > MAX_DIRECT_K:
         raise DomainError(f"k={k} exceeds the direct-sum cap {MAX_DIRECT_K}")
     if workers is not None:
         _check_positive_int(workers, "worker count")
-    columns: list[list[float]] = []
-    fold_at: list[int] = []
+    ends = [[_check_positive_int(m, "prefix end", minimum=0) for m in item]
+            for item in ends]
+    if any(m > k for item in ends for m in item):
+        raise DomainError(f"prefix end must be <= k = {k}")
+    layout = [sorted(set(item)) for item in ends]
+    columns = [[[] for _ in item] for item in layout]
+    fold_at = [[_FOLD] * len(item) for item in layout]
     work = _chunk_rows(2, k)
-    for lo in range(1, k + 1, chunk):
-        hi = min(lo + chunk, k + 1)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        i = 0
-        for item in block_fn(idx):
-            terms, ends = _columns(item, k)
-            x = np.asarray(terms, dtype=np.float64).ravel()
-            # Each end inside the chunk, before its last term, cuts it after
+    for lo in range(1, k + 1, DEFAULT_CHUNK):
+        hi = min(lo + DEFAULT_CHUNK, k + 1)
+        i = -1
+        for i, terms in enumerate(block_fn(np.arange(lo, hi, dtype=np.int64))):
+            if i == len(layout):
+                break
+            # The ends inside the chunk, before its last term, cut it after
             # the end's own term; an end past the chunk takes all of it.
-            cuts = sorted({m - lo + 1 for m in ends if lo <= m < hi - 1})
+            first = bisect.bisect_left(layout[i], lo)
+            inside = bisect.bisect_left(layout[i], hi - 1, first)
+            cuts = [m - lo + 1 for m in layout[i][first:inside]]
+            x = np.asarray(terms, dtype=np.float64).ravel()
             prefixes = _exact_parts(x, cuts, work)
             if prefixes is None:
                 prefixes = [x[:c].tolist() for c in (*cuts, x.size)]
-            for m in ends:
-                if i == len(columns):
-                    columns.append([])
-                    fold_at.append(_FOLD)
-                column = columns[i]
-                if m >= lo:
-                    column += prefixes[bisect.bisect_left(cuts, m - lo + 1)]
-                if len(column) >= fold_at[i]:
+            for j, column in enumerate(columns[i][first:], first):
+                column += prefixes[min(j - first, len(cuts))]
+                if len(column) >= fold_at[i][j]:
                     folded = _exact_parts(np.asarray(column), (),
                                           np.empty((2, len(column))))
                     if folded is not None:
                         column[:] = folded[0]
-                    fold_at[i] = max(_FOLD, 2 * len(column))
-                i += 1
-    return tuple(_fsum(column) for column in columns)
+                    fold_at[i][j] = max(_FOLD, 2 * len(column))
+        if i != len(layout) - 1:
+            raise DomainError(
+                f"the callback must give {len(layout)} term arrays per chunk")
+    totals = [dict(zip(item, map(_fsum, item_columns)))
+              for item, item_columns in zip(layout, columns)]
+    return tuple(by_end[m] for by_end, item in zip(totals, ends) for m in item)
 
 
 def chunked_parallel_sum(term_fn: Callable[[np.ndarray], np.ndarray],
@@ -245,31 +242,29 @@ def chunked_parallel_sum(term_fn: Callable[[np.ndarray], np.ndarray],
     rounded once.  ``workers`` is validated but does not change the result
     or the thread count.
     """
-    totals = _chunked_fsum(lambda idx: (term_fn(idx),), k, workers)
-    return totals[0] if totals else 0.0
+    [total] = _chunked_fsum(lambda idx: (term_fn(idx),), k, ((k,),), workers)
+    return total
 
 
-def chunked_parallel_pair_sum(pair_fn: Callable[[np.ndarray], Iterable],
-                              k: int,
+def chunked_parallel_pair_sum(pair_fn: Callable[[np.ndarray],
+                                                Iterable[np.ndarray]],
+                              k: int, ends: Sequence[Sequence[int]],
                               workers: int | None = None) -> tuple[float, ...]:
-    """Several sums sharing one traversal of ``1..k``, one total per column.
+    """Several sums sharing one traversal of ``1..k``, one total per end.
 
-    ``pair_fn`` maps an int64 index array to its items (two for a
+    ``pair_fn`` maps an int64 index array to its term arrays (two for a
     cosine/sine pair) that reuse common work (one log per index,
-    typically), returned as a tuple or yielded one at a time.  Each item is
-    reduced before the next is asked for, so a generator may overwrite one
-    array and yield it again for every column; items returned as a tuple
-    all exist at once, so they must not share arrays.  An item is a term
-    array, one column summed over ``1..k``, or a pair ``(terms, ends)``:
-    each end ``m``, an integer in ``0..k``, is one column, in order, that
-    sums ``terms_n`` over ``1..m``; ends may repeat and come in any order.
-    All ends of an item come from one exact
-    reduction per chunk (see the module docstring), and each total is
-    exactly ``math.fsum`` of that column's terms.  At ``k = 0`` no chunk
-    runs, so ``pair_fn`` is called once on an empty index array to learn
-    the column count, and every total is 0.0.
+    typically), returned as a tuple or yielded one at a time: one array per
+    entry of ``ends``, in order, in every chunk, or ``DomainError``.  Each
+    array is reduced before the next is asked for, so a generator may
+    overwrite one array and yield it again for every column; arrays
+    returned as a tuple all exist at once, so they must not share memory.
+    ``ends[i]`` lists the prefix ends of the i-th array: each end ``m``, an
+    integer in ``0..k``, is one total, the sum of its terms over ``1..m``;
+    ends may repeat and come in any order.  The totals come in the order of
+    ``ends``, flattened.  Every end is checked once per sum, and all ends
+    of an array come from one exact reduction per chunk (see the module
+    docstring), so each total is exactly ``math.fsum`` of its terms.  At
+    ``k = 0`` ``pair_fn`` is never called and every total is 0.0.
     """
-    totals = _chunked_fsum(pair_fn, k, workers)
-    empty = np.arange(1, 1, dtype=np.int64)
-    return totals or tuple(0.0 for item in pair_fn(empty)
-                          for _ in _columns(item, 0)[1])
+    return _chunked_fsum(pair_fn, k, ends, workers)

@@ -17,10 +17,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .errors import CatalogError, DomainError, SingularGuardError
+from .errors import DomainError, SingularGuardError
 from .fixedpoint import _f_values, f_of_t
 from .series import GammaEstimate, _gamma_pairs
-from .zeros import ZeroCatalog, ZetaZero, builtin_catalog, get_zero
+from .zeros import ZeroCatalog, builtin_catalog, get_zero
 
 TABLE_IDS = ("T1", "T2", "T3", "T4", "T5", "T6")
 
@@ -143,7 +143,9 @@ def build_table(spec: TableSpec, catalog: ZeroCatalog | None = None
     cells are None wherever the row falls outside the reference grid.  A
     zero-map row whose f map leaves its domain (``SingularGuardError``)
     keeps its k or q and t_q cells, gets None value cells, and issues an
-    ``OffDomainRowWarning`` naming the row and the guard's message.
+    ``OffDomainRowWarning`` naming the row and the guard's message.  Every
+    zero is looked up before any sum: a zero missing from the catalog
+    raises ``CatalogError`` at once.
 
     Every table but T4 is one traversal of ``n = 1..k`` at its largest k,
     shared by every row: the harmonic diagonals, ``log n`` and ``n^-1/2``
@@ -176,24 +178,14 @@ def build_table(spec: TableSpec, catalog: ZeroCatalog | None = None
         default_q = _Q_FIRST_TEN if tid in ("T2", "T5") else _Q_HIGH
         qs = spec.zero_indices if spec.zero_indices is not None else default_q
 
-    def evaluate(zeros: list[ZetaZero]) -> list:
-        # One value per (k, zero), k by k.
-        if gamma:
-            return _gamma_pairs(ks, [(zero.t, zero.q) for zero in zeros])
-        if sweep:
-            return [_f_or_guard(zero.t, k) for k in ks for zero in zeros]
-        return _f_values([zero.t for zero in zeros], ks[0])
-
-    zeros: list[ZetaZero] = []
-    for q in qs:
-        try:
-            zeros.append(get_zero(catalog, q))
-        except CatalogError:
-            # Row by row, the rows before a missing zero would have raised
-            # their own errors first (a bad k among them).
-            evaluate(zeros)
-            raise
-    values = evaluate(zeros)
+    # Every zero is looked up before any sum; one value per (k, zero), k by k.
+    zeros = [get_zero(catalog, q) for q in qs]
+    if gamma:
+        values = _gamma_pairs(ks, [(zero.t, zero.q) for zero in zeros])
+    elif sweep:
+        values = [_f_or_guard(zero.t, k) for k in ks for zero in zeros]
+    else:
+        values = _f_values([zero.t for zero in zeros], ks[0])
     if sweep:
         refs = ((REF_GAMMA_SWEEP if gamma else REF_ZERO_SWEEP)
                 if zeros[0].q == 1 else {})

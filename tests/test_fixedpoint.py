@@ -135,20 +135,12 @@ def test_iterate_f_map_terminates_with_definite_status():
     assert len(trace.iterates) >= 2
 
 
-def test_iterate_f_map_sums_harmonic_once_per_run(monkeypatch):
+def test_iterate_f_map_sums_harmonic_once_per_run(chunked_sums):
     # k is fixed for the run: H_k once, then one traversal per step.  The
     # iterates are pinned to those of the map summing H_k at every step,
     # and equal chained f_of_t calls bit for bit.
-    calls = []
-    pair_sum = series.chunked_parallel_pair_sum
-
-    def counted(pair_fn, k):
-        calls.append(k)
-        return pair_sum(pair_fn, k)
-
-    monkeypatch.setattr(series, "chunked_parallel_pair_sum", counted)
     trace = iterate_fixed_point(FixedPointMap.F_MAP, 14.2, 1000, 3, 0.0)
-    assert calls == [1000] * 4
+    assert chunked_sums.k == [1000] * 4
     assert [y.hex() for y in trace.iterates] == [
         "0x1.c666666666666p+3", "0x1.cd62c1605b27cp+3",
         "0x1.ae7431d9fead5p+3", "0x1.ec89c22f1e1bep+3"]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from zetagamma import fixedpoint, series, summation
+from zetagamma import series
 from zetagamma import (
     EULER_GAMMA,
     DomainError,
@@ -142,28 +142,11 @@ def test_estimates_match_signed_and_cut_column_sums(k):
     (lambda k: g_of_t(14.2, k), 1),
     (lambda k: f_of_t(14.2, k), 2),
 ], ids=["gamma_type1", "g_of_t", "f_of_t"])
-def test_chunked_sum_calls_per_op(monkeypatch, op, calls):
+def test_chunked_sum_calls_per_op(chunked_sums, op, calls):
     # The benchmark counts the terms of an op through the chunked sums, and
     # its traced run must equal k per sum: pin the calls, their k and the
     # indices handed to the callbacks.
     k = 3000
-    seen, indices = [], []
-
-    def counted(fn):
-        def wrapper(term_fn, k, workers=None):
-            seen.append(k)
-
-            def traced(idx):
-                indices.append(idx.size)
-                return term_fn(idx)
-            return fn(traced, k, workers)
-        return wrapper
-
-    for name in ("chunked_parallel_sum", "chunked_parallel_pair_sum"):
-        original = getattr(summation, name)
-        for module in (summation, series, fixedpoint):
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted(original))
     op(k)
-    assert seen == [k] * calls
-    assert sum(indices) == calls * k
+    assert chunked_sums.k == [k] * calls
+    assert sum(chunked_sums.indices) == calls * k

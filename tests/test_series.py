@@ -78,10 +78,15 @@ def test_bool_rejected_where_integer_expected():
     lambda: harmonic_asymptotic(10**400, 0.5, 2),
     lambda: em_rhs(14.1, 10**400),
     lambda: harmonic_partial_sum(10**5000),
+    # (log m)^(n+1) leaves binary64 from n = 270 at m = 1e6, the terms'
+    # (log j)^n from n = 300: no OverflowError, no numpy overflow warning.
+    lambda: stieltjes_estimate(270, 10**6),
+    lambda: stieltjes_estimate(300, 10**6),
 ], ids=["em_rhs_inf", "n_terms_float", "n_terms_bool",
         "gamma_nan", "gamma_inf", "gamma_-inf", "n_terms_past_table",
         "harmonic_asymptotic_k_past_binary64", "em_rhs_k_past_binary64",
-        "harmonic_k_past_int_str_limit"])
+        "harmonic_k_past_int_str_limit", "stieltjes_tail_past_binary64",
+        "stieltjes_terms_past_binary64"])
 def test_typed_errors_at_library_edge(call):
     with pytest.raises(DomainError):
         call()
@@ -347,9 +352,9 @@ def test_partial_zeta_matches_the_cos_sin_route(t, k, alternating):
         nf = idx.astype(np.float64)
         w = 1.0 / np.sqrt(nf)
         arg = t * np.log(nf)
-        return (np.cos(arg) * w, ends), (-np.sin(arg) * w, ends)
+        return np.cos(arg) * w, -np.sin(arg) * w
 
-    totals = chunked_parallel_pair_sum(columns, k)
+    totals = chunked_parallel_pair_sum(columns, k, (ends, ends))
     sums = [complex(re, im) for re, im in zip(totals[:len(ends)],
                                               totals[len(ends):])]
     ref = sums[-1]

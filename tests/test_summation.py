@@ -19,6 +19,8 @@ import pytest
 from zetagamma import series, summation
 from zetagamma import (
     DomainError,
+    TableSpec,
+    build_table,
     builtin_catalog,
     chunked_parallel_pair_sum,
     chunked_parallel_sum,
@@ -88,7 +90,7 @@ def test_chunked_non_finite_term_rejected(bad):
     with pytest.raises(DomainError):
         chunked_parallel_sum(lambda n: np.full(n.shape, bad), 10)
     with pytest.raises(DomainError):
-        chunked_parallel_pair_sum(pair, 10_000)
+        chunked_parallel_pair_sum(pair, 10_000, ((10_000,), (10_000,)))
 
 
 def test_harmonic_terms_match_exact_rational():
@@ -165,8 +167,9 @@ def test_set_num_workers_rejects_non_positive_integers(bad):
 @pytest.mark.parametrize("total", [chunked_parallel_sum,
                                    chunked_parallel_pair_sum])
 def test_chunked_sums_reject_non_integer_workers(total, bad):
+    ends = (((10,),),) if total is chunked_parallel_pair_sum else ()
     with pytest.raises(DomainError, match="^worker count must be"):
-        total(lambda n: (1.0 / n, 1.0 / n), 10, workers=bad)
+        total(lambda n: 1.0 / n, 10, *ends, workers=bad)
 
 
 def test_set_num_workers_accepts_numpy_integers():
@@ -197,8 +200,10 @@ def test_worker_count_never_changes_a_sum_property():
             single = chunked_parallel_sum(lambda n: pair(n)[0], k, workers=1)
             assert chunked_parallel_sum(lambda n: pair(n)[0], k,
                                         workers=workers) == single
-            base = chunked_parallel_pair_sum(pair, k, workers=1)
-            assert chunked_parallel_pair_sum(pair, k, workers=workers) == base
+            ends = ((k,), (k,))
+            base = chunked_parallel_pair_sum(pair, k, ends, workers=1)
+            assert chunked_parallel_pair_sum(pair, k, ends,
+                                             workers=workers) == base
 
     check()
 
@@ -213,7 +218,7 @@ def test_pair_sum_matches_two_singles():
         w = 1.0 / np.sqrt(nf)
         return np.cos(arg) * w, np.sin(arg) * w
 
-    a, b = chunked_parallel_pair_sum(pair, k)
+    a, b = chunked_parallel_pair_sum(pair, k, ((k,), (k,)))
     a1 = chunked_parallel_sum(lambda n: pair(n)[0], k)
     b1 = chunked_parallel_sum(lambda n: pair(n)[1], k)
     assert a == a1 and b == b1
@@ -225,7 +230,7 @@ def test_pair_sum_returns_one_total_per_column(k):
         nf = idx.astype(np.float64)
         return 1.0 / nf, np.sqrt(nf), -nf, np.cos(nf)
 
-    totals = chunked_parallel_pair_sum(columns, k)
+    totals = chunked_parallel_pair_sum(columns, k, ((k,),) * 4)
     assert len(totals) == 4
     for i, total in enumerate(totals):
         single = chunked_parallel_sum(lambda n: columns(n)[i], k)
@@ -233,18 +238,13 @@ def test_pair_sum_returns_one_total_per_column(k):
 
 
 def test_sums_at_k_zero_call_no_term_function_on_indices():
+    # The ends give the count of totals, so no callback is asked for it.
     def single(idx):
         raise AssertionError("term_fn called at k = 0")
 
-    seen = []
-
-    def columns(idx):
-        seen.append(idx.size)
-        return idx * 1.0, idx * 2.0, idx * 3.0
-
     assert chunked_parallel_sum(single, 0) == 0.0
-    assert chunked_parallel_pair_sum(columns, 0) == (0.0, 0.0, 0.0)
-    assert seen == [0]
+    assert chunked_parallel_pair_sum(single, 0, ((0,), (0, 0), ())) == \
+        (0.0, 0.0, 0.0)
 
 
 def test_pair_sum_bit_identical_across_workers():
@@ -255,8 +255,9 @@ def test_pair_sum_bit_identical_across_workers():
         arg = t * np.log(nf)
         return np.cos(arg) / np.sqrt(nf), np.sin(arg) / np.sqrt(nf)
 
-    base = chunked_parallel_pair_sum(pair, 200_000, workers=1)
-    assert chunked_parallel_pair_sum(pair, 200_000, workers=8) == base
+    ends = ((200_000,), (200_000,))
+    base = chunked_parallel_pair_sum(pair, 200_000, ends, workers=1)
+    assert chunked_parallel_pair_sum(pair, 200_000, ends, workers=8) == base
 
 
 # ------------------- exact chunk reduction: bit identity --------------------
@@ -413,7 +414,7 @@ def test_chunk_totals_are_folded_so_no_column_grows_with_k(monkeypatch):
     def peak(k):
         tracemalloc.start()
         try:
-            chunked_parallel_pair_sum(columns, k)
+            chunked_parallel_pair_sum(columns, k, ((k,),) * 4)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -432,8 +433,9 @@ def test_columns_may_be_yielded():
         yield from listed(idx)
 
     for k in (0, 1, 4097, 10_000):
-        assert chunked_parallel_pair_sum(yielded, k) == \
-            chunked_parallel_pair_sum(listed, k)
+        ends = ((k,), (0, k), (k // 2,))
+        assert chunked_parallel_pair_sum(yielded, k, ends) == \
+            chunked_parallel_pair_sum(listed, k, ends)
 
 
 @pytest.mark.parametrize("chunk, k", [(1, 500), (3, 1000),
@@ -451,8 +453,7 @@ def test_a_generator_may_overwrite_one_array_for_every_column(
         return np.cos(nf) / nf, np.sin(nf) / np.sqrt(nf), 1.0 / nf
 
     def fresh(idx):
-        for x in terms(idx):
-            yield x, ends
+        yield from terms(idx)
 
     block = np.empty(chunk)
 
@@ -460,12 +461,12 @@ def test_a_generator_may_overwrite_one_array_for_every_column(
         out = block[:idx.size]
         for x in terms(idx):
             out[...] = x
-            yield out, ends
+            yield out
 
-    got = chunked_parallel_pair_sum(reused, k)
+    got = chunked_parallel_pair_sum(reused, k, (ends,) * 3)
     assert len(got) == 3 * len(ends)
     assert [g.hex() for g in got] == \
-        [e.hex() for e in chunked_parallel_pair_sum(fresh, k)]
+        [e.hex() for e in chunked_parallel_pair_sum(fresh, k, (ends,) * 3)]
 
 
 def test_chunked_total_bit_identical_property():
@@ -485,11 +486,12 @@ def test_chunked_total_bit_identical_property():
 
 
 def test_variant_totals_bit_identical_property():
-    # Each end m of a (terms, ends) item is its own column, math.fsum of the
-    # terms at n = 1..m, taken from one extraction per chunk.  Ends fall at
-    # 0, at k, inside and at the edges of chunks of 1, 3 and 4096 terms,
-    # repeated and unsorted.  Magnitudes near 2^1023 leave no room for a
-    # pass, so their chunks hand the prefixes' terms to the final fsum.
+    # Each end m declared for a term array is its own total, math.fsum of
+    # the terms at n = 1..m, taken from one extraction per chunk.  Ends
+    # fall at 0, at k, inside and at the edges of chunks of 1, 3 and 4096
+    # terms, repeated (sharing one column) and unsorted; an array may have
+    # no end.  Magnitudes near 2^1023 leave no room for a pass, so their
+    # chunks hand the prefixes' terms to the final fsum.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     value = st.one_of(
@@ -499,7 +501,7 @@ def test_variant_totals_bit_identical_property():
         st.floats(-1e3, 1e3),
         st.floats(8e307, 1.7e308).map(lambda v: v if v < 1.2e308 else -v))
     # -1 stands for k; larger ends are cut to k.
-    ends = st.lists(st.integers(-1, 40), min_size=1, max_size=5).map(
+    ends = st.lists(st.integers(-1, 40), max_size=5).map(
         lambda e: e + e[:1])
 
     @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
@@ -514,17 +516,18 @@ def test_variant_totals_bit_identical_property():
                   for values, e in items]
 
         def columns(idx):
-            for x, e in arrays:
-                yield x[idx - 1], e
+            for x, _ in arrays:
+                yield x[idx - 1]
 
+        layout = [e for _, e in arrays]
         expected = [_fsum_or_none(x[:m].tolist())
                     for x, e in arrays for m in e]
         with mock.patch.object(summation, "DEFAULT_CHUNK", chunk):
             if None in expected:
                 with pytest.raises(DomainError):
-                    chunked_parallel_pair_sum(columns, k)
+                    chunked_parallel_pair_sum(columns, k, layout)
                 return
-            got = chunked_parallel_pair_sum(columns, k)
+            got = chunked_parallel_pair_sum(columns, k, layout)
         assert [g.hex() for g in got] == [e.hex() for e in expected]
 
     check()
@@ -539,52 +542,91 @@ def test_chunked_sums_leave_the_callback_arrays_as_they_are():
     def columns(idx):
         view = x[idx[0] - 1:idx[-1]]
         yield view
-        yield view, (x.size // 2,)
-        yield view, (0, x.size, 3, x.size - 1)
+        yield view
+        yield view
 
-    chunked_parallel_pair_sum(columns, x.size)
+    chunked_parallel_pair_sum(columns, x.size, (
+        (x.size,), (x.size // 2,), (0, x.size, 3, x.size - 1)))
     chunked_parallel_sum(lambda idx: x[idx[0] - 1:idx[-1]], x.size)
     assert np.array_equal(x, kept)
 
 
 def test_variant_items_mix_with_plain_arrays():
-    # A plain array is one column to k; (terms, ends) is one column per
-    # end, in order, repeated and unsorted ends included.
-    def columns_to(ends):
-        def columns(idx):
-            nf = idx.astype(np.float64)
-            yield 1.0 / nf
-            yield 1.0 / nf, ends
-            yield np.sqrt(nf)
-        return columns
+    # Arrays summed to k alone mix with one summed to several ends: one
+    # total per end, in the order of the ends, repeated and unsorted ends
+    # included.
+    def columns(idx):
+        nf = idx.astype(np.float64)
+        yield 1.0 / nf
+        yield 1.0 / nf
+        yield np.sqrt(nf)
 
     k = 40_001
     ends = (k // 2, k, k - 1, 0, 16384, k // 2)
-    assert chunked_parallel_pair_sum(columns_to(ends), k) == (
+    assert chunked_parallel_pair_sum(columns, k, ((k,), ends, (k,))) == (
         chunked_parallel_sum(lambda n: 1.0 / n, k),
         *(chunked_parallel_sum(lambda n: 1.0 / n, m) for m in ends),
         chunked_parallel_sum(np.sqrt, k))
-    assert chunked_parallel_pair_sum(columns_to((0, 0)), 0) == (0.0,) * 4
+    assert chunked_parallel_pair_sum(columns, 0, ((0,), (0, 0), (0,))) == \
+        (0.0,) * 4
 
 
 @pytest.mark.parametrize("end", [-1, 11, 2.5, True, "3", None,
                                  np.float64(2.0)])
 def test_prefix_ends_must_be_integers_in_range(end):
-    # An end is an integer in 0..k, bool excluded, also at k = 0, where the
-    # callback is asked only for its column count.
-    for k in (0, 10):
-        def columns(idx):
-            yield 1.0 / idx, (k, end)
+    # An end is an integer in 0..k, bool excluded, checked before any chunk
+    # runs, also at k = 0, where no chunk runs at all.
+    def columns(idx):
+        raise AssertionError("callback called before the ends were checked")
 
+    for k in (0, 10):
         with pytest.raises(DomainError, match="prefix end"):
-            chunked_parallel_pair_sum(columns, k)
+            chunked_parallel_pair_sum(columns, k, ((k,), (k, end)))
 
 
 def test_prefix_ends_accept_numpy_integers():
     def columns(idx):
-        yield idx.astype(np.float64), (np.int64(3), np.int32(4))
+        yield idx.astype(np.float64)
 
-    assert chunked_parallel_pair_sum(columns, 10) == (6.0, 10.0)
+    assert chunked_parallel_pair_sum(
+        columns, 10, ((np.int64(3), np.int32(4)),)) == (6.0, 10.0)
+
+
+def test_ends_are_checked_once_per_sum(monkeypatch):
+    # A T1 build declares 40 ends in one traversal (H_k and H_(k-1) at five
+    # k, and k//2, k, k-1 for each of the zero's two trig columns); each is
+    # checked once, however many chunks the traversal takes.
+    checked = []
+    check = summation._check_positive_int
+
+    def spy(value, name, minimum=1):
+        if name == "prefix end":
+            checked.append(value)
+        return check(value, name, minimum)
+
+    monkeypatch.setattr(summation, "_check_positive_int", spy)
+    counts = []
+    for chunk in (64, 16384):
+        monkeypatch.setattr(summation, "DEFAULT_CHUNK", chunk)
+        checked.clear()
+        build_table(TableSpec("T1"))
+        counts.append(len(checked))
+    assert counts == [40, 40]
+
+
+@pytest.mark.parametrize("ends", [((40_000,),), ((40_000,), (40_000,))],
+                         ids=["one", "two"])
+def test_callback_must_give_one_array_per_entry_of_ends(ends):
+    # The callback gives 1/n once in the first chunk and twice after: too
+    # many arrays for one entry of ends, too few for two.  Neither may
+    # leave a total partial.
+    def columns(idx):
+        yield 1.0 / idx
+        if idx[0] > 1:
+            yield 1.0 / idx
+
+    with pytest.raises(DomainError, match="term arrays per chunk"):
+        chunked_parallel_pair_sum(columns, 40_000, ends)
 
 
 @pytest.mark.parametrize("alternating", [False, True])
@@ -736,7 +778,8 @@ def test_chunked_rejects_bad_k(k):
     with pytest.raises(DomainError):
         chunked_parallel_sum(lambda n: n.astype(np.float64), k)
     with pytest.raises(DomainError):
-        chunked_parallel_pair_sum(lambda n: (1.0 / n, 1.0 / n), k)
+        chunked_parallel_pair_sum(lambda n: (1.0 / n, 1.0 / n), k,
+                                  ((1,), (1,)))
 
 
 def test_chunked_accepts_numpy_integers():
@@ -756,7 +799,7 @@ def test_chunked_refuses_k_above_cap_before_any_term():
         chunked_parallel_sum(terms, MAX_DIRECT_K + 1)
     with pytest.raises(DomainError, match="cap"):
         chunked_parallel_pair_sum(lambda n: (terms(n), terms(n)),
-                                  MAX_DIRECT_K + 1)
+                                  MAX_DIRECT_K + 1, ((1,), (1,)))
     assert calls == []
 
 

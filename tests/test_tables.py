@@ -2,7 +2,6 @@
 
 import pytest
 
-from zetagamma import series
 from zetagamma import (
     CatalogError,
     DomainError,
@@ -135,21 +134,13 @@ def test_build_table_matches_direct_calls(spec, expected):
     (TableSpec("T6"), 1),
 ], ids=lambda v: f"{v.table_id}-k{v.k}-q{v.zero_indices}"
     if isinstance(v, TableSpec) else str(v))
-def test_traversals_per_table(monkeypatch, spec, traversals):
+def test_traversals_per_table(chunked_sums, spec, traversals):
     # One traversal of n = 1..k per table, to its largest k: the T1 sweep
     # reads every row's sums off it as prefix ends.  T4 takes two per row
     # (f_of_t's sum and its diagonal).
-    calls = []
-    pair_sum = series.chunked_parallel_pair_sum
-
-    def counted(pair_fn, k):
-        calls.append(k)
-        return pair_sum(pair_fn, k)
-
-    monkeypatch.setattr(series, "chunked_parallel_pair_sum", counted)
     build_table(spec)
-    assert len(calls) == traversals
-    assert max(calls) == (spec.k or 100_000)
+    assert len(chunked_sums.k) == traversals
+    assert max(chunked_sums.k) == (spec.k or 100_000)
 
 
 def test_build_table_sweep_override_on_grid_keeps_deviations():
@@ -182,13 +173,19 @@ def test_build_table_off_domain_row_keeps_cells_and_warns(spec, off_domain,
 
 
 @pytest.mark.parametrize("tid", ["T2", "T5"])
-def test_zero_list_errors_keep_row_order(tid):
-    # A bad k fails the first row before a missing later zero is looked
-    # up; a missing first zero is reported before any sum.
-    with pytest.raises(DomainError, match="k must be >= 2"):
+def test_zero_list_errors_keep_row_order(chunked_sums, tid):
+    # Every zero is looked up before any sum, so a missing zero is reported
+    # ahead of a bad k wherever it stands in the list, and at once however
+    # long the sums would be; with every zero found, the bad k fails.
+    with pytest.raises(CatalogError, match="not in catalog"):
         build_table(TableSpec(tid, k=1, zero_indices=(1, 10**9)))
     with pytest.raises(CatalogError, match="not in catalog"):
         build_table(TableSpec(tid, k=1, zero_indices=(10**9, 1)))
+    with pytest.raises(CatalogError, match="not in catalog"):
+        build_table(TableSpec(tid, k=10**7, zero_indices=(1, 2, 10**9)))
+    assert chunked_sums.k == []
+    with pytest.raises(DomainError, match="k must be >= 2"):
+        build_table(TableSpec(tid, k=1, zero_indices=(1, 2)))
 
 
 @pytest.mark.parametrize("tid", ["T1", "T4"])

@@ -6,7 +6,8 @@ estimates from one zero ordinate each; the inverse direction recovers
 zero ordinates by fixed-point iteration.  An O(k^2) brute-force double
 sum and an O(k) factorized path cross-check each other.  The ``n^-s``
 sums of ``series`` are calls of one primitive, ``partial_zeta``, and
-every long sum is exactly ``math.fsum`` of all its terms.
+every long sum keeps its exact total as one integer, rounded once: exactly
+``math.fsum`` of all its terms.
 """
 
 from .bench import BenchReport, bench_offdiag

@@ -450,8 +450,8 @@ def offdiag_naive(params: SeriesParams, alternating: bool) -> float:
     and is computed in place, so about two such temporaries are live.
     Each row is reduced by numpy's pairwise sum, with error about
     ``eps * log2(k) * sum|terms|``, and the row totals are combined by one
-    correctly rounded ``fsum``; that is far under the 1e-11 scaled gate
-    against the factorized route.
+    correctly rounded ``compensated_sum``; that is far under the 1e-11
+    scaled gate against the factorized route.
 
     Refuses k beyond ``ORACLE_CAP`` with ``OracleCapError`` to bound the
     quadratic runtime.

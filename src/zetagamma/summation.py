@@ -2,9 +2,8 @@
 
 Several quantities in this package (squared trig sums evaluated near a
 zeta zero) cancel to within a few ulp of zero, so naive left-to-right
-accumulation is not good enough.  Every long sum therefore ends in
-``math.fsum`` (Shewchuk's adaptive-precision algorithm), which returns the
-exactly rounded total of its binary64 inputs.
+accumulation is not good enough.  Every sum here is therefore the exactly
+rounded total of its binary64 terms, what ``math.fsum`` returns for them.
 
 * ``compensated_sum`` - correctly rounded total of an explicit term
   sequence.
@@ -20,50 +19,51 @@ exactly rounded total of its binary64 inputs.
   thread; the ``workers`` count is validated and accepted, but results
   never depend on it.
 
-A chunk is not handed to ``fsum`` term by term.  It is first reduced
-exactly in numpy by the error-free extraction of Rump, Ogita and Oishi
-("Accurate floating-point summation part I: faithful rounding", SIAM J.
-Sci. Comput. 31(1), 2008, Lemma 3.3): for ``n`` terms ``x`` with
-``n < 2^M`` and ``|x_i| <= 2^-M sigma``, ``sigma`` a power of two,
+Every binary64 is a whole multiple of ``2^-1074``, so an exact total is one
+Python int in that unit (Kulisch's long accumulator; Neal, "Fast exact
+summation using small and large superaccumulators", 2015).  Each sum keeps
+such an int per total and rounds it once, by int true division, which
+CPython rounds correctly, half to even: the only step that rounds.
+
+The terms reach the int a chunk at a time, reduced exactly in numpy by
+the error-free extraction of Rump, Ogita and Oishi ("Accurate
+floating-point summation part I: faithful rounding", SIAM J. Sci.
+Comput. 31(1), 2008, Lemma 3.3): for ``n`` terms ``x`` with ``n < 2^M``
+and ``|x_i| <= 2^-M sigma``, ``sigma`` a power of two,
 ``q = (sigma + x) - sigma`` and ``x - q`` are exact, ``sum(q)`` is exact
 in any order, and ``|x - q| <= 2^-53 sigma``.  Taking ``sigma`` just
 above ``2^M max|x|``, each pass lowers the bound on ``max|x|`` by a factor
 ``2^(53 - M)``, and a few passes empty the chunk (two for the package's
-own terms, at most 57 seen in tests).  The pass totals of every chunk
-join the sum's column, and one ``fsum`` rounds their exact total once at
-the end: the only step that rounds.  A chunk whose ``sigma`` would exceed
-``2^1023`` (some ``|x_i| >= 2^(1023 - M)``) joins it term by term.  The
-passes write into two rows allocated once per sum, not per chunk.
+own terms, at most 57 seen in tests).  Each pass total joins the int.  A
+chunk whose ``sigma`` would exceed ``2^1023`` (some
+``|x_i| >= 2^(1023 - M)``) joins it term by term.  The passes write into
+two rows allocated once per sum, not per chunk.
 
 One extraction serves every prefix of the same terms.  Every ``q`` of a
 pass is a multiple of the unit ``2^-53 sigma``, and ``sum|q| <= n 2^-M
 sigma < sigma``, so the sum of any subset of a pass is a multiple of that
 unit below ``sigma`` in magnitude: exact.  ``chunked_parallel_pair_sum``
 therefore takes, with its callback, the prefix ends of each term array:
-each end ``m`` is one column, the sum of the terms at ``n = 1..m``.  The
+each end ``m`` is one total, the sum of the terms at ``n = 1..m``.  The
 ends are checked and sorted once per sum, and a repeated end shares its
-column.  A chunk that holds no end takes one plain sum per pass; where
-ends fall inside it (two bisects find them), each pass takes the sums of
+total.  A chunk that holds no end takes one plain sum per pass; where
+ends fall inside it (a bisect finds them), each pass takes the sums of
 the segments between them (``np.add.reduceat``) and their running totals,
-all exact.  Each end is thus rounded once from its own exact total,
-exactly ``math.fsum`` of its terms.  The alternating sums and the sums
-cut at ``k - 1`` of ``series`` are built from such prefix ends.
+all exact.  An end's exact total is the array's running int before the
+chunk plus its prefix of the chunk, so each end is rounded once, exactly
+``math.fsum`` of its terms.  The alternating sums and the sums cut at
+``k - 1`` of ``series`` are built from such prefix ends.
 
-The parts do not pile up: once a column holds ``_FOLD`` floats, the same
-extraction folds them into its few exact pass totals, so folding never
-moves a bit.  Parts too near overflow for the extraction stay unfolded.
 Every sum raises ``DomainError`` on a non-finite term or a total that
 overflows binary64, and returns a finite total even where a partial one
 overflows.  The chunked sums take at most ``MAX_DIRECT_K`` terms; above
 that, ``series.partial_zeta`` answers the real diagonal sums by an
 Euler-Maclaurin route that sums only a short head here.
 """
-
 from __future__ import annotations
 
 import bisect
 import math
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -73,9 +73,6 @@ from .errors import DomainError
 #: Chunk length of the chunked sums, read on every call.  It sets the speed
 #: only; below about 16384 terms numpy's per-call overhead dominates.
 DEFAULT_CHUNK = 16384
-
-#: Column length at which a column's parts are folded, whatever the chunk.
-_FOLD = 4096
 
 #: Largest index range the chunked sums accept.  Every term is computed,
 #: so the runtime grows linearly in k: one gamma estimate takes 2.8-3.4 s at
@@ -110,36 +107,28 @@ def get_num_workers() -> int:
     return _num_workers
 
 
-def _fsum(values: list[float]) -> float:
-    # fsum returns nan or inf only for a non-finite term and raises ValueError
-    # on inf + -inf.  Its OverflowError on a partial total that overflows is
-    # answered by the exact total rounded once, which may be finite.
+def _units(value: float) -> int:
+    # value exactly, as a whole number of 2^-1074, the least binary64 step.
+    num, den = value.as_integer_ratio()
+    return num << (1075 - den.bit_length())
+
+
+def _rounded(units: int) -> float:
+    # The binary64 nearest units * 2^-1074, half to even: CPython rounds the
+    # true division of two ints correctly.
     try:
-        try:
-            total = math.fsum(values)
-        except OverflowError:
-            total = float(sum(map(Fraction, values)))
-    except (OverflowError, ValueError):
+        return units / (1 << 1074)
+    except OverflowError:
         raise DomainError("sum is not finite in binary64") from None
-    if not math.isfinite(total):
-        raise DomainError("non-finite term in summation input")
-    return total
 
 
-def compensated_sum(terms: Iterable[float] | np.ndarray) -> float:
-    """Correctly rounded total of ``terms``."""
-    if isinstance(terms, np.ndarray):
-        return _fsum(np.asarray(terms, dtype=np.float64).ravel().tolist())
-    return _fsum([float(x) for x in terms])
-
-
-def _exact_parts(x: np.ndarray, cuts: Sequence[int], work: np.ndarray
-                 ) -> list[list[float]] | None:
-    # Per prefix of x, ending at each cut (increasing positions in
-    # 1..x.size-1) and then at x.size, floats whose exact sum is that of the
-    # prefix: the extraction's pass totals (see the module docstring), or
-    # None where some |x_i| is too close to overflow for a pass.  With cuts,
-    # each pass sums the segments between them and keeps the running
+def _exact_units(x: np.ndarray, cuts: Sequence[int], work: np.ndarray
+                 ) -> list[int]:
+    # The exact sums, in units of 2^-1074, of the prefixes of x that end at
+    # each cut (increasing positions in 1..x.size-1) and of all of x: the
+    # extraction's pass totals (see the module docstring), or the terms one
+    # by one where some |x_i| is too close to overflow for a pass.  With
+    # cuts, each pass sums the segments between them and keeps the running
     # totals, all exact.  x is left as it is: each pass writes q and what is
     # left of x to the two rows of work, of at least x.size floats each.
     m = x.size.bit_length()
@@ -149,8 +138,8 @@ def _exact_parts(x: np.ndarray, cuts: Sequence[int], work: np.ndarray
     if not math.isfinite(mu):
         raise DomainError("non-finite term in summation input")
     if math.frexp(mu)[1] + m > 1023:
-        return None
-    prefixes: list[list[float]] = [[] for _ in range(len(cuts) + 1)]
+        return [sum(map(_units, x[:c].tolist())) for c in (*cuts, x.size)]
+    prefixes = [0] * (len(cuts) + 1)
     rest = x
     while mu:
         sigma = math.ldexp(1.0, math.frexp(mu)[1] + m)
@@ -159,12 +148,20 @@ def _exact_parts(x: np.ndarray, cuts: Sequence[int], work: np.ndarray
         rest = np.subtract(rest, q, out=left)
         if cuts:
             totals = np.add.reduceat(q, (0, *cuts)).cumsum().tolist()
+            prefixes = [p + _units(t) for p, t in zip(prefixes, totals)]
         else:
-            totals = (float(q.sum()),)
-        for prefix, total in zip(prefixes, totals):
-            prefix.append(total)
+            prefixes[0] += _units(float(q.sum()))
         mu = float(np.abs(rest, out=q).max())
     return prefixes
+
+
+def compensated_sum(terms: Iterable[float] | np.ndarray) -> float:
+    """Correctly rounded total of ``terms``, exactly ``math.fsum`` of them."""
+    if not isinstance(terms, np.ndarray):
+        terms = [float(x) for x in terms]
+    x = np.asarray(terms, dtype=np.float64).ravel()
+    [units] = _exact_units(x, (), np.empty((2, x.size)))
+    return _rounded(units)
 
 
 def _chunk_rows(count: int, k: int) -> np.ndarray:
@@ -172,32 +169,34 @@ def _chunk_rows(count: int, k: int) -> np.ndarray:
     return np.empty((count, min(k, DEFAULT_CHUNK)))
 
 
-def _chunked_fsum(block_fn: Callable[[np.ndarray], Iterable[np.ndarray]],
-                  k: int, ends: Sequence[Sequence[int]], workers: int | None
-                  ) -> tuple[float, ...]:
+def _chunked_sum(block_fn: Callable[[np.ndarray], Iterable[np.ndarray]],
+                 k: int, ends: Sequence[Sequence[int]], workers: int | None
+                 ) -> tuple[float, ...]:
     # ``block_fn`` maps one chunk's indices to its term arrays, one per
     # entry of ``ends``, and may yield them: each is reduced before the next
     # is asked for, into the two rows of ``work``, allocated once per sum.
-    # Each array's distinct ends, checked and sorted once, are its columns;
-    # a column gains the exact parts of the chunk's terms up to its end.
-    # Once a column holds ``_FOLD`` floats they are replaced by their own
-    # exact parts (a few floats), so no column grows with k; the final fsum
-    # rounds the exact total once.  The next fold waits until the column
-    # has doubled, which bounds the work when the parts are many (a tiny
-    # chunk length) or when parts near overflow cannot be folded and stay
-    # as they are.  At k = 0 no chunk runs and every total is 0.0.
+    # Each array keeps one exact running total, an int in units of 2^-1074,
+    # and the exact totals of its distinct ends, checked and sorted once,
+    # in order: an end is recorded in the chunk that holds it, as the
+    # running total before the chunk plus its prefix of the chunk.  Each is
+    # rounded once at the end.  An end 0 is recorded before any chunk; at
+    # k = 0 no chunk runs and every total is 0.0.
     k = _check_positive_int(k, "k", minimum=0)
     if k > MAX_DIRECT_K:
         raise DomainError(f"k={k} exceeds the direct-sum cap {MAX_DIRECT_K}")
     if workers is not None:
         _check_positive_int(workers, "worker count")
-    ends = [[_check_positive_int(m, "prefix end", minimum=0) for m in item]
-            for item in ends]
+    try:
+        ends = [[_check_positive_int(m, "prefix end", minimum=0)
+                 for m in item] for item in ends]
+    except TypeError:
+        raise DomainError("prefix ends must be one sequence per term array"
+                          ) from None
     if any(m > k for item in ends for m in item):
         raise DomainError(f"prefix end must be <= k = {k}")
     layout = [sorted(set(item)) for item in ends]
-    columns = [[[] for _ in item] for item in layout]
-    fold_at = [[_FOLD] * len(item) for item in layout]
+    exact = [[0] * bisect.bisect_left(item, 1) for item in layout]
+    running = [0] * len(layout)
     work = _chunk_rows(2, k)
     for lo in range(1, k + 1, DEFAULT_CHUNK):
         hi = min(lo + DEFAULT_CHUNK, k + 1)
@@ -206,27 +205,21 @@ def _chunked_fsum(block_fn: Callable[[np.ndarray], Iterable[np.ndarray]],
             if i == len(layout):
                 break
             # The ends inside the chunk, before its last term, cut it after
-            # the end's own term; an end past the chunk takes all of it.
-            first = bisect.bisect_left(layout[i], lo)
-            inside = bisect.bisect_left(layout[i], hi - 1, first)
-            cuts = [m - lo + 1 for m in layout[i][first:inside]]
+            # the end's own term; an end at its last term takes all of it.
+            item, first = layout[i], len(exact[i])
+            inside = bisect.bisect_left(item, hi - 1, first)
+            cuts = [m - lo + 1 for m in item[first:inside]]
             x = np.asarray(terms, dtype=np.float64).ravel()
-            prefixes = _exact_parts(x, cuts, work)
-            if prefixes is None:
-                prefixes = [x[:c].tolist() for c in (*cuts, x.size)]
-            for j, column in enumerate(columns[i][first:], first):
-                column += prefixes[min(j - first, len(cuts))]
-                if len(column) >= fold_at[i][j]:
-                    folded = _exact_parts(np.asarray(column), (),
-                                          np.empty((2, len(column))))
-                    if folded is not None:
-                        column[:] = folded[0]
-                    fold_at[i][j] = max(_FOLD, 2 * len(column))
+            *prefixes, whole = _exact_units(x, cuts, work)
+            exact[i] += [running[i] + p for p in prefixes]
+            running[i] += whole
+            if inside < len(item) and item[inside] == hi - 1:
+                exact[i].append(running[i])
         if i != len(layout) - 1:
             raise DomainError(
                 f"the callback must give {len(layout)} term arrays per chunk")
-    totals = [dict(zip(item, map(_fsum, item_columns)))
-              for item, item_columns in zip(layout, columns)]
+    totals = [dict(zip(item, map(_rounded, units)))
+              for item, units in zip(layout, exact)]
     return tuple(by_end[m] for by_end, item in zip(totals, ends) for m in item)
 
 
@@ -242,7 +235,7 @@ def chunked_parallel_sum(term_fn: Callable[[np.ndarray], np.ndarray],
     rounded once.  ``workers`` is validated but does not change the result
     or the thread count.
     """
-    [total] = _chunked_fsum(lambda idx: (term_fn(idx),), k, ((k,),), workers)
+    [total] = _chunked_sum(lambda idx: (term_fn(idx),), k, ((k,),), workers)
     return total
 
 
@@ -257,14 +250,16 @@ def chunked_parallel_pair_sum(pair_fn: Callable[[np.ndarray],
     typically), returned as a tuple or yielded one at a time: one array per
     entry of ``ends``, in order, in every chunk, or ``DomainError``.  Each
     array is reduced before the next is asked for, so a generator may
-    overwrite one array and yield it again for every column; arrays
+    overwrite one array and yield it again for every entry; arrays
     returned as a tuple all exist at once, so they must not share memory.
-    ``ends[i]`` lists the prefix ends of the i-th array: each end ``m``, an
-    integer in ``0..k``, is one total, the sum of its terms over ``1..m``;
-    ends may repeat and come in any order.  The totals come in the order of
-    ``ends``, flattened.  Every end is checked once per sum, and all ends
-    of an array come from one exact reduction per chunk (see the module
-    docstring), so each total is exactly ``math.fsum`` of its terms.  At
-    ``k = 0`` ``pair_fn`` is never called and every total is 0.0.
+    ``ends[i]``, a sequence even for one end, lists the prefix ends of the
+    i-th array: each end ``m``, an integer in ``0..k``, is one total, the
+    sum of its terms over ``1..m``; ends may repeat and come in any order.
+    The totals come in the order of ``ends``, flattened.  Every end is
+    checked once per sum.  All ends of an array come from one exact
+    reduction per chunk and one exact running total, and each is rounded
+    once (see the module docstring), so each total is exactly ``math.fsum``
+    of its terms.  At ``k = 0`` ``pair_fn`` is never called and every total
+    is 0.0.
     """
-    return _chunked_fsum(pair_fn, k, ends, workers)
+    return _chunked_sum(pair_fn, k, ends, workers)

@@ -1,6 +1,7 @@
 """Static checks on the package sources: no dead imports, no dead private code,
 no default that no call overrides, numpy cos/sin only in the brute-force
-oracle, and the half-angle kernel only in the shared traversal."""
+oracle, the half-angle kernel only in the shared traversal, and one rounding
+step for every sum."""
 
 import ast
 from pathlib import Path
@@ -279,3 +280,42 @@ def test_cache_check_flags_a_cached_sum():
         "    return partial_zeta(1.0, 0.0, k)\n"
         "cached_zeta = functools.cache(partial_zeta)\n")
     assert _caches_outside(ast.parse(source), CACHED_ALLOWED) == [2, 6, 9]
+
+
+def _second_rounding_steps(module: str, tree: ast.Module) -> list[int]:
+    # Lines that reach math.fsum (as an attribute or a name imported from
+    # math) in any module, or import fractions in summation.py.  Every sum
+    # is rounded once, by summation's int division, and Fraction was the
+    # overflow fallback of an fsum there.
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "fsum":
+            found.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "math"
+              and any(alias.name == "fsum" for alias in node.names)):
+            found.append(node.lineno)
+        elif module == "summation.py" and (
+                isinstance(node, ast.ImportFrom) and node.module == "fractions"
+                or isinstance(node, ast.Import)
+                and any(alias.name == "fractions" for alias in node.names)):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_one_rounding_step_for_every_sum(module):
+    lines = _second_rounding_steps(module, TREES[module])
+    assert not lines, f"{module}: math.fsum or fractions at {lines}"
+
+
+def test_rounding_check_flags_fsum_and_fractions():
+    source = (
+        "import math\n"
+        "import fractions\n"
+        "from fractions import Fraction\n"
+        "from math import fsum, log\n"
+        "def total(xs):\n"
+        "    return math.fsum(xs) + fsum(xs) + math.log(2.0)\n")
+    tree = ast.parse(source)
+    assert _second_rounding_steps("summation.py", tree) == [2, 3, 4, 6]
+    assert _second_rounding_steps("series.py", tree) == [4, 6]

@@ -33,6 +33,7 @@ from zetagamma import (
 from zetagamma.summation import DEFAULT_CHUNK, MAX_DIRECT_K
 
 EPS = 2.0 ** -52
+MAX_FLOAT = sys.float_info.max
 
 
 def test_cancellation_preserved_list():
@@ -58,23 +59,35 @@ def test_non_finite_rejected(bad):
 
 def test_overflowing_total_rejected():
     # The last two overflow a partial total before the non-finite term.
+    # The largest float plus half its ulp, 2^970, is a tie that rounds to
+    # even, up to 2^1024: no exact rational rounds it to a float either.
     for terms in ([1e308, 1e308], [1e308, 1e308, math.inf],
-                  [1e308, 1e308, math.nan]):
+                  [1e308, 1e308, math.nan], [MAX_FLOAT, 2.0 ** 970]):
         with pytest.raises(DomainError):
             compensated_sum(terms)
+    with pytest.raises(OverflowError):
+        float(Fraction(MAX_FLOAT) + Fraction(2) ** 970)
     with pytest.raises(DomainError):
         chunked_parallel_sum(lambda n: np.full(n.shape, 1e308), 10)
+    with pytest.raises(DomainError):
+        chunked_parallel_sum(lambda n: np.array([MAX_FLOAT, 2.0 ** 970])[
+            n - 1], 2)
 
 
 @pytest.mark.parametrize("terms, total", [
     ([1e308, 1e308, -1e308], 1e308),
-    ([1.7e308, 1.7e308, -1.7e308, -1.7e308, 1.0], 1.0)])
+    ([1.7e308, 1.7e308, -1.7e308, -1.7e308, 1.0], 1.0),
+    # The overflow edge: just under half an ulp past the largest float.
+    ([MAX_FLOAT, 2.0 ** 969], MAX_FLOAT),
+    ([2.0 ** 969, MAX_FLOAT, 2.0 ** 969, -MAX_FLOAT], 2.0 ** 970)])
 @pytest.mark.parametrize("chunk", [1, 2, 4096, DEFAULT_CHUNK])
 def test_partial_overflow_with_finite_total(terms, total, chunk, monkeypatch):
-    # A partial total overflows binary64 on the way; the exact total does not.
-    # Chunk length 1 moves the overflow from a chunk into the final sum;
-    # at length 2 the first chunk's own total overflows.
+    # A partial total overflows binary64 on the way, or comes within half
+    # an ulp of it; the exact total does not.  Chunk length 1 moves the
+    # overflow from a chunk into the final sum; at length 2 the first
+    # chunk's own total overflows.
     values = np.array(terms)
+    assert float(sum(map(Fraction, terms))) == total
     assert compensated_sum(terms) == total
     monkeypatch.setattr(summation, "DEFAULT_CHUNK", chunk)
     assert chunked_parallel_sum(lambda n: values[n - 1], len(terms)) == total
@@ -104,16 +117,32 @@ def test_harmonic_terms_match_exact_rational():
     assert abs(compensated_sum(1.0 / np.arange(1, 11)) - float(h10)) <= 4 * EPS
 
 
-@pytest.mark.parametrize("length", [10, 100, 1000, 10_000])
-def test_error_bound_vs_exact_rational(length):
-    rng = random.Random(20240817 + length)
-    xs = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-12, 12)
-          for _ in range(length)]
+@pytest.mark.parametrize("length", [
+    10, 100, 1000, 10_000,
+    # Rounding edges, given as the terms themselves: an exact tie rounds
+    # to even, one unit past it rounds up, and subnormal totals are exact.
+    pytest.param([1.0, 2.0 ** -53], id="tie"),
+    pytest.param([1.0, 2.0 ** -53, 2.0 ** -1074], id="above-tie"),
+    pytest.param([1.0 + 2.0 ** -52, 2.0 ** -53], id="tie-to-even-up"),
+    pytest.param([3 * 2.0 ** -1074], id="subnormal"),
+    pytest.param([1e-310, -1e-310, 5e-324], id="subnormal-cancel")])
+def test_error_bound_vs_exact_rational(length, monkeypatch):
+    if isinstance(length, list):
+        xs = length
+    else:
+        rng = random.Random(20240817 + length)
+        xs = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-12, 12)
+              for _ in range(length)]
     exact = sum(map(Fraction, xs))
     abs_sum = float(sum(abs(Fraction(x)) for x in xs))
     result = compensated_sum(xs)
     assert float(abs(Fraction(result) - exact)) <= 2.0 * EPS * abs_sum
-    assert result == float(exact)  # math.fsum rounds correctly
+    assert result == float(exact)  # rounded once, correctly
+    values = np.array(xs)
+    for chunk in (1, DEFAULT_CHUNK):
+        monkeypatch.setattr(summation, "DEFAULT_CHUNK", chunk)
+        assert chunked_parallel_sum(lambda n: values[n - 1], len(xs)) == \
+            float(exact)
 
 
 def test_chunked_matches_sequential(monkeypatch):
@@ -389,22 +418,20 @@ def test_chunked_total_bit_identical_across_chunk_boundaries(make):
 
 @pytest.mark.parametrize("make", ADVERSARIAL, ids=lambda f: f.__name__[1:])
 def test_folded_chunk_totals_bit_identical(make):
-    # At a chunk length of 1 every term is its own chunk total, so the
-    # columns are folded into exact parts over the adversarial values
-    # themselves, again and again.
+    # At a chunk length of 1 every term is its own chunk total, folded into
+    # the sum's exact integer total one adversarial value at a time.
     x = make(np.random.default_rng(20_000), 20_000)
     _assert_bit_identical(x, chunk=1)
 
 
 def test_chunk_totals_are_folded_so_no_column_grows_with_k(monkeypatch):
-    # Four columns of 64-term chunks, folded at 64 floats.  Kept, every
-    # chunk's parts cost at least 32 bytes (a float and its list slot):
-    # 4 * 700 * 32 = 90 kB more at the larger k.  Folded, no column holds
-    # more than _FOLD floats, so the peak may not grow by even one full
-    # column per column.  The first call at the larger k makes one-off
-    # allocations, so it is not counted.
+    # Four term arrays of 64-term chunks.  Kept, every chunk's pass totals
+    # would cost at least 32 bytes (a float and its list slot): 4 * 700 * 32
+    # = 90 kB more at the larger k.  Each array keeps one exact integer
+    # total instead, so the peak may not grow by even 64 floats per array.
+    # The first call at the larger k makes one-off allocations, so it is
+    # not counted.
     monkeypatch.setattr(summation, "DEFAULT_CHUNK", 64)
-    monkeypatch.setattr(summation, "_FOLD", 64)
 
     def columns(idx):
         nf = idx.astype(np.float64)
@@ -571,17 +598,25 @@ def test_variant_items_mix_with_plain_arrays():
         (0.0,) * 4
 
 
-@pytest.mark.parametrize("end", [-1, 11, 2.5, True, "3", None,
-                                 np.float64(2.0)])
+@pytest.mark.parametrize("end", [
+    -1, 11, 2.5, True, "3", None, np.float64(2.0),
+    # Whole malformed ends, given as a function of k: flat, a bare int,
+    # None, and a bare int beside a sequence of ends.
+    pytest.param(lambda k: (k,), id="flat"),
+    pytest.param(lambda k: k, id="bare-int"),
+    pytest.param(lambda k: None, id="no-ends"),
+    pytest.param(lambda k: ((k,), 5), id="bare-int-item")])
 def test_prefix_ends_must_be_integers_in_range(end):
-    # An end is an integer in 0..k, bool excluded, checked before any chunk
+    # An end is an integer in 0..k, bool excluded, and ends hold one
+    # sequence of them per term array; both are checked before any chunk
     # runs, also at k = 0, where no chunk runs at all.
     def columns(idx):
         raise AssertionError("callback called before the ends were checked")
 
     for k in (0, 10):
+        ends = end(k) if callable(end) else ((k,), (k, end))
         with pytest.raises(DomainError, match="prefix end"):
-            chunked_parallel_pair_sum(columns, k, ((k,), (k, end)))
+            chunked_parallel_pair_sum(columns, k, ends)
 
 
 def test_prefix_ends_accept_numpy_integers():
@@ -748,27 +783,35 @@ def test_traversals_do_not_page_fault_per_chunk(warm_faults, call, bound):
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 1000])
-def test_fold_point_does_not_follow_the_chunk_length(chunk, monkeypatch):
-    # Ones give one exact part per chunk (its length, in one pass), so a
-    # column gains one float per chunk and is folded, by one extraction of
-    # the whole column, once it holds 4096 of them, at any chunk length.
-    sizes = []
-    exact_parts = summation._exact_parts
+def test_each_chunk_is_extracted_once(chunk, monkeypatch):
+    # Every chunk of every term array goes through one extraction straight
+    # into its exact integer totals; nothing is extracted again after the
+    # last chunk, also past 4096 chunks, whatever the chunk length.  Each
+    # extraction is recorded by its first term and its length.
+    extracted = []
+    exact_units = summation._exact_units
 
     def spy(x, cuts, work):
-        sizes.append(x.size)
-        return exact_parts(x, cuts, work)
+        extracted.append((x[0], x.size))
+        return exact_units(x, cuts, work)
 
-    monkeypatch.setattr(summation, "_exact_parts", spy)
+    def columns(idx):
+        nf = idx.astype(np.float64)
+        yield nf
+        yield -nf
+
+    monkeypatch.setattr(summation, "_exact_units", spy)
     monkeypatch.setattr(summation, "DEFAULT_CHUNK", chunk)
-    assert summation._FOLD == 4096
-    k = 4096 * chunk
-    assert chunked_parallel_sum(lambda n: np.ones(n.size), k - chunk) == \
-        k - chunk
-    assert sizes == [chunk] * 4095
-    sizes.clear()
-    assert chunked_parallel_sum(lambda n: np.ones(n.size), k) == k
-    assert sizes == [chunk] * 4096 + [4096]
+    k = 4100 * chunk + chunk // 2
+    chunks = [(lo, min(chunk, k + 1 - lo)) for lo in range(1, k + 1, chunk)]
+    assert chunked_parallel_sum(lambda n: n.astype(np.float64), k) == \
+        k * (k + 1) // 2
+    assert extracted == chunks
+    extracted.clear()
+    assert chunked_parallel_pair_sum(columns, k, ((k, k // 2), (k,))) == \
+        (k * (k + 1) // 2, k // 2 * (k // 2 + 1) // 2, -(k * (k + 1) // 2))
+    assert extracted == [c for lo, size in chunks
+                         for c in ((lo, size), (-lo, size))]
 
 
 # ---------------------- argument checks and the k cap -----------------------

@@ -21,14 +21,7 @@ from enum import Enum
 from typing import Sequence
 
 from .errors import DomainError, SingularGuardError
-from .series import (
-    EULER_GAMMA,
-    SeriesParams,
-    _offdiag,
-    _partial_zeta_direct,
-    offdiag_factorized,
-    partial_zeta,
-)
+from .series import EULER_GAMMA, _offdiag, _partial_zeta_direct, partial_zeta
 from .summation import _check_positive_int
 
 #: Guard on |sin(t log k)| and |cos(t log k)| in the g map; the cot and
@@ -81,13 +74,12 @@ def f_of_t(t: float, k: int) -> float:
     """
     _check_t(t)
     k = _check_positive_int(k, "k", minimum=2)
-    off = offdiag_factorized(SeriesParams(0.5, t, k), alternating=False)
-    return _f_formula(t, k, off)
+    return _f_step(t, k, partial_zeta(1.0, 0.0, k))
 
 
 def _f_step(t: float, k: int, diag: complex) -> float:
-    # f_of_t(t, k), bit for bit, with its diagonal H_k = diag summed by the
-    # caller, so that a run of f steps at one k sums H_k once.
+    # f at (t, k) with its diagonal H_k = diag summed by the caller, so that
+    # a run of f steps at one k sums H_k once.
     return _f_formula(t, k, _offdiag(partial_zeta(0.5, t, k), diag))
 
 

@@ -36,16 +36,16 @@ Every sum is a plain one to a prefix end.  The alternating sum is
 ``2^(1-s) S(s, k//2) - S(s, k)`` (the even n give ``2^(1-s)`` times the
 sum to k//2), and type2 takes the plain sum at k-1, so one unsigned trig
 column serves both estimators at every k: its ends are declared once per
-sum, and the chunked sum reduces it exactly once and reads each end off
-that reduction (see :mod:`zetagamma.summation`), each correctly rounded
-from its own exact total.  A table therefore takes one traversal of
-n = 1..k at its largest k for all its zeros and all its k: the diagonals
-H_k and H_(k-1) do not depend on the zero and are summed once, and each
-chunk takes log n and n^-1/2 once for all zeros and the trig factors once
-per ordinate.  Each value is bit-identical to a call for that zero and k
-alone.  Every chunk is computed into one work block per traversal, not
-into new arrays: n is converted to float once, and n^-sigma and log n are
-taken from that row.
+sum, and the chunked sum reduces it exactly once, stopping a chunk at
+each end to read its exact running total there (see
+:mod:`zetagamma.summation`), each rounded once.  A table therefore takes
+one traversal of n = 1..k at its largest k for all its zeros and all its
+k: the diagonals H_k and H_(k-1) do not depend on the zero and are summed
+once, and each chunk takes log n and n^-1/2 once for all zeros and the
+trig factors once per ordinate.  Each value is bit-identical to a call
+for that zero and k alone.  Every chunk is computed into one work block
+per traversal, not into new arrays: n is converted to float once, and
+n^-sigma and log n are taken from that row.
 """
 
 from __future__ import annotations
@@ -215,10 +215,11 @@ def _partial_zeta_direct(parts: Sequence[tuple[float, float, Sequence[int]]],
     # place; the trig factors once per part.  Each part yields its trig
     # columns, all written to one output row (den's, free once -sin is
     # taken), and declares its ends once per column: the chunked sum reduces
-    # each array before it asks for the next, and reads every end off one
-    # reduction per column.  At t == 0 only the real part is summed, off the
-    # n^-sigma row; with imag false, every part's real part alone, from the
-    # kernel's cosine half (_half_angle).  An imaginary part not summed is 0.0.
+    # each array before it asks for the next, and stops a chunk at every
+    # end to read the column's exact total there.  At t == 0 only the real
+    # part is summed, off the n^-sigma row; with imag false, every part's
+    # real part alone, from the kernel's cosine half (_half_angle).  An
+    # imaginary part not summed is 0.0.
     k = max((m for _, _, ends in parts for m in ends), default=0)
     sigmas = list(dict.fromkeys(sigma for sigma, _, _ in parts))
     trig = any(t != 0.0 for _, t, _ in parts)
@@ -445,9 +446,10 @@ def offdiag_naive(params: SeriesParams, alternating: bool) -> float:
     an independent check on ``offdiag_factorized``.
 
     Consecutive rows n = n0..n0+b-1 are evaluated as one block against the
-    columns m = n0+1..k, with the entries m <= n zeroed.  The block holds
-    at most ``_NAIVE_BLOCK`` = 2^14 elements (one row when a row is longer)
-    and is computed in place, so about two such temporaries are live.
+    columns m = n0+1..k, with the entries m <= n, all in its leading
+    b x b corner, zeroed.  The block holds at most ``_NAIVE_BLOCK`` = 2^14
+    elements (one row when a row is longer) and is computed in place, in
+    one buffer allocated once per call.
     Each row is reduced by numpy's pairwise sum, with error about
     ``eps * log2(k) * sum|terms|``, and the row totals are combined by one
     correctly rounded ``compensated_sum``; that is far under the 1e-11
@@ -466,19 +468,22 @@ def offdiag_naive(params: SeriesParams, alternating: bool) -> float:
     w = _n_pow(nf, params.sigma, np.empty(k))
     if alternating:
         w[::2] *= -1.0
+    buf = np.empty(max(k - 1, _NAIVE_BLOCK))
     rows: list[float] = []
     n0 = 1
     while n0 < k:
         width = k - n0
         b = max(1, min(width, _NAIVE_BLOCK // width))
         n_rows = slice(n0 - 1, n0 - 1 + b)
-        terms = nf[n0:] / nf[n_rows, None]
+        terms = np.divide(nf[n0:], nf[n_rows, None],
+                          out=buf[:b * width].reshape(b, width))
         np.log(terms, out=terms)
         terms *= t
         np.cos(terms, out=terms)
         terms *= w[n0:]
         terms *= w[n_rows, None]
-        rows.extend(np.triu(terms).sum(axis=1).tolist())
+        np.copyto(terms[:, :b], 0.0, where=np.tri(b, b, -1, dtype=bool))
+        rows.extend(terms.sum(axis=1).tolist())
         n0 += b
     return 2.0 * compensated_sum(rows)
 

@@ -8,10 +8,10 @@ rounded total of its binary64 terms, what ``math.fsum`` returns for them.
 * ``compensated_sum`` - correctly rounded total of an explicit term
   sequence.
 * ``chunked_parallel_sum`` / ``chunked_parallel_pair_sum`` - exactly
-  ``math.fsum`` of the terms at ``n = 1..k``, computed in chunks of
-  ``DEFAULT_CHUNK`` indices by one vectorized call each; the chunk length
-  sets the speed only.  The second sums several term arrays from one
-  traversal, each to the prefix ends declared for it once per sum, and
+  ``math.fsum`` of the terms at ``n = 1..k``, computed in chunks of at
+  most ``DEFAULT_CHUNK`` indices by one vectorized call each; the chunk
+  length sets the speed only.  The second sums several term arrays from
+  one traversal, each to the prefix ends declared for it once per sum, and
   returns one total per end; its callback may return the arrays or yield
   them one at a time.  Each is reduced before the next is asked for, so a
   generator may write every array into one it keeps: no chunk then
@@ -22,8 +22,9 @@ rounded total of its binary64 terms, what ``math.fsum`` returns for them.
 Every binary64 is a whole multiple of ``2^-1074``, so an exact total is one
 Python int in that unit (Kulisch's long accumulator; Neal, "Fast exact
 summation using small and large superaccumulators", 2015).  Each sum keeps
-such an int per total and rounds it once, by int true division, which
-CPython rounds correctly, half to even: the only step that rounds.
+such an int per term array and rounds it once per total, by int true
+division, which CPython rounds correctly, half to even: the only step that
+rounds.
 
 The terms reach the int a chunk at a time, reduced exactly in numpy by
 the error-free extraction of Rump, Ogita and Oishi ("Accurate
@@ -39,20 +40,14 @@ chunk whose ``sigma`` would exceed ``2^1023`` (some
 ``|x_i| >= 2^(1023 - M)``) joins it term by term.  The passes write into
 two rows allocated once per sum, not per chunk.
 
-One extraction serves every prefix of the same terms.  Every ``q`` of a
-pass is a multiple of the unit ``2^-53 sigma``, and ``sum|q| <= n 2^-M
-sigma < sigma``, so the sum of any subset of a pass is a multiple of that
-unit below ``sigma`` in magnitude: exact.  ``chunked_parallel_pair_sum``
-therefore takes, with its callback, the prefix ends of each term array:
-each end ``m`` is one total, the sum of the terms at ``n = 1..m``.  The
-ends are checked and sorted once per sum, and a repeated end shares its
-total.  A chunk that holds no end takes one plain sum per pass; where
-ends fall inside it (a bisect finds them), each pass takes the sums of
-the segments between them (``np.add.reduceat``) and their running totals,
-all exact.  An end's exact total is the array's running int before the
-chunk plus its prefix of the chunk, so each end is rounded once, exactly
-``math.fsum`` of its terms.  The alternating sums and the sums cut at
-``k - 1`` of ``series`` are built from such prefix ends.
+A prefix end ``m`` of a term array is one total, the sum of its terms at
+``n = 1..m``; ``chunked_parallel_pair_sum`` takes them with its callback,
+checked once per sum.  Every chunk ends at the next declared end of any
+array, after ``DEFAULT_CHUNK`` indices or at ``k``, whichever comes first,
+so an end's exact total is its array's running int after the chunk that
+ends there, rounded once: exactly ``math.fsum`` of its terms, since every
+total is exact for any partition of the terms.  The alternating sums and
+the sums cut at ``k - 1`` of ``series`` are built from such prefix ends.
 
 Every sum raises ``DomainError`` on a non-finite term or a total that
 overflows binary64, and returns a finite total even where a partial one
@@ -62,7 +57,6 @@ Euler-Maclaurin route that sums only a short head here.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -122,15 +116,12 @@ def _rounded(units: int) -> float:
         raise DomainError("sum is not finite in binary64") from None
 
 
-def _exact_units(x: np.ndarray, cuts: Sequence[int], work: np.ndarray
-                 ) -> list[int]:
-    # The exact sums, in units of 2^-1074, of the prefixes of x that end at
-    # each cut (increasing positions in 1..x.size-1) and of all of x: the
-    # extraction's pass totals (see the module docstring), or the terms one
-    # by one where some |x_i| is too close to overflow for a pass.  With
-    # cuts, each pass sums the segments between them and keeps the running
-    # totals, all exact.  x is left as it is: each pass writes q and what is
-    # left of x to the two rows of work, of at least x.size floats each.
+def _exact_units(x: np.ndarray, work: np.ndarray) -> int:
+    # The exact sum of x, in units of 2^-1074: the extraction's pass totals
+    # (see the module docstring), or the terms one by one where some |x_i|
+    # is too close to overflow for a pass.  x is left as it is: each pass
+    # writes q and what is left of x to the two rows of work, of at least
+    # x.size floats each.
     m = x.size.bit_length()
     q, left = work[:, :x.size]
     np.abs(x, out=q)
@@ -138,21 +129,17 @@ def _exact_units(x: np.ndarray, cuts: Sequence[int], work: np.ndarray
     if not math.isfinite(mu):
         raise DomainError("non-finite term in summation input")
     if math.frexp(mu)[1] + m > 1023:
-        return [sum(map(_units, x[:c].tolist())) for c in (*cuts, x.size)]
-    prefixes = [0] * (len(cuts) + 1)
+        return sum(map(_units, x.tolist()))
+    units = 0
     rest = x
     while mu:
         sigma = math.ldexp(1.0, math.frexp(mu)[1] + m)
         np.add(rest, sigma, out=q)
         q -= sigma
         rest = np.subtract(rest, q, out=left)
-        if cuts:
-            totals = np.add.reduceat(q, (0, *cuts)).cumsum().tolist()
-            prefixes = [p + _units(t) for p, t in zip(prefixes, totals)]
-        else:
-            prefixes[0] += _units(float(q.sum()))
+        units += _units(float(q.sum()))
         mu = float(np.abs(rest, out=q).max())
-    return prefixes
+    return units
 
 
 def compensated_sum(terms: Iterable[float] | np.ndarray) -> float:
@@ -160,8 +147,7 @@ def compensated_sum(terms: Iterable[float] | np.ndarray) -> float:
     if not isinstance(terms, np.ndarray):
         terms = [float(x) for x in terms]
     x = np.asarray(terms, dtype=np.float64).ravel()
-    [units] = _exact_units(x, (), np.empty((2, x.size)))
-    return _rounded(units)
+    return _rounded(_exact_units(x, np.empty((2, x.size))))
 
 
 def _chunk_rows(count: int, k: int) -> np.ndarray:
@@ -175,12 +161,11 @@ def _chunked_sum(block_fn: Callable[[np.ndarray], Iterable[np.ndarray]],
     # ``block_fn`` maps one chunk's indices to its term arrays, one per
     # entry of ``ends``, and may yield them: each is reduced before the next
     # is asked for, into the two rows of ``work``, allocated once per sum.
-    # Each array keeps one exact running total, an int in units of 2^-1074,
-    # and the exact totals of its distinct ends, checked and sorted once,
-    # in order: an end is recorded in the chunk that holds it, as the
-    # running total before the chunk plus its prefix of the chunk.  Each is
-    # rounded once at the end.  An end 0 is recorded before any chunk; at
-    # k = 0 no chunk runs and every total is 0.0.
+    # Each array keeps one exact running total, an int in units of 2^-1074.
+    # The ends are checked once; chunks then run up to each distinct end and
+    # k in turn, and the running totals at each stop are recorded, to be
+    # rounded once at the end.  An end 0 is recorded before
+    # any chunk; at k = 0 no chunk runs and every total is 0.0.
     k = _check_positive_int(k, "k", minimum=0)
     if k > MAX_DIRECT_K:
         raise DomainError(f"k={k} exceeds the direct-sum cap {MAX_DIRECT_K}")
@@ -194,38 +179,31 @@ def _chunked_sum(block_fn: Callable[[np.ndarray], Iterable[np.ndarray]],
                           ) from None
     if any(m > k for item in ends for m in item):
         raise DomainError(f"prefix end must be <= k = {k}")
-    layout = [sorted(set(item)) for item in ends]
-    exact = [[0] * bisect.bisect_left(item, 1) for item in layout]
-    running = [0] * len(layout)
+    exact = {}
+    running = [0] * len(ends)
     work = _chunk_rows(2, k)
-    for lo in range(1, k + 1, DEFAULT_CHUNK):
-        hi = min(lo + DEFAULT_CHUNK, k + 1)
-        i = -1
-        for i, terms in enumerate(block_fn(np.arange(lo, hi, dtype=np.int64))):
-            if i == len(layout):
-                break
-            # The ends inside the chunk, before its last term, cut it after
-            # the end's own term; an end at its last term takes all of it.
-            item, first = layout[i], len(exact[i])
-            inside = bisect.bisect_left(item, hi - 1, first)
-            cuts = [m - lo + 1 for m in item[first:inside]]
-            x = np.asarray(terms, dtype=np.float64).ravel()
-            *prefixes, whole = _exact_units(x, cuts, work)
-            exact[i] += [running[i] + p for p in prefixes]
-            running[i] += whole
-            if inside < len(item) and item[inside] == hi - 1:
-                exact[i].append(running[i])
-        if i != len(layout) - 1:
-            raise DomainError(
-                f"the callback must give {len(layout)} term arrays per chunk")
-    totals = [dict(zip(item, map(_rounded, units)))
-              for item, units in zip(layout, exact)]
-    return tuple(by_end[m] for by_end, item in zip(totals, ends) for m in item)
+    lo = 1
+    for stop in sorted({k, *(m for item in ends for m in item)}):
+        while lo <= stop:
+            hi = min(lo + DEFAULT_CHUNK, stop + 1)
+            i = -1
+            for i, terms in enumerate(
+                    block_fn(np.arange(lo, hi, dtype=np.int64))):
+                if i == len(ends):
+                    break
+                running[i] += _exact_units(
+                    np.asarray(terms, dtype=np.float64).ravel(), work)
+            if i != len(ends) - 1:
+                raise DomainError(
+                    f"the callback must give {len(ends)} term arrays per chunk")
+            lo = hi
+        exact[stop] = running.copy()
+    return tuple(_rounded(exact[m][i]) for i, item in enumerate(ends)
+                 for m in item)
 
 
 def chunked_parallel_sum(term_fn: Callable[[np.ndarray], np.ndarray],
-                         k: int,
-                         workers: int | None = None) -> float:
+                         k: int, workers: int | None = None) -> float:
     """Sum of ``term_fn`` over indices ``1..k``, exactly ``math.fsum`` of
     all its terms.
 
@@ -256,10 +234,11 @@ def chunked_parallel_pair_sum(pair_fn: Callable[[np.ndarray],
     i-th array: each end ``m``, an integer in ``0..k``, is one total, the
     sum of its terms over ``1..m``; ends may repeat and come in any order.
     The totals come in the order of ``ends``, flattened.  Every end is
-    checked once per sum.  All ends of an array come from one exact
-    reduction per chunk and one exact running total, and each is rounded
-    once (see the module docstring), so each total is exactly ``math.fsum``
-    of its terms.  At ``k = 0`` ``pair_fn`` is never called and every total
-    is 0.0.
+    checked once per sum, and every chunk stops at the next end of any
+    array, so ``pair_fn`` may see chunks shorter than ``DEFAULT_CHUNK``.
+    Each array keeps one exact running total, and an end's total is that
+    total after the chunk that stops there, rounded once (see the module
+    docstring): exactly ``math.fsum`` of its terms.  At ``k = 0``
+    ``pair_fn`` is never called and every total is 0.0.
     """
     return _chunked_sum(pair_fn, k, ends, workers)

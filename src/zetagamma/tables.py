@@ -150,10 +150,11 @@ def build_table(spec: TableSpec, catalog: ZeroCatalog | None = None
     Every table but T4 is one traversal of ``n = 1..k`` at its largest k,
     shared by every row: the harmonic diagonals, ``log n`` and ``n^-1/2``
     are evaluated once, each zero's trig columns are reduced once for all
-    its k, and every sum to a row's k is read off that reduction as a
-    prefix.  T4 takes ``f_of_t`` row by row: one traversal for its five k
-    measured 2.9 against 3.6 ms, but the benchmark counts T4's terms for
-    this route.  The values are bit-identical to per-row calls.
+    its k, and every sum to a row's k is the column's exact running total
+    where a chunk stops at that k.  T4 takes ``f_of_t`` row by row: one
+    traversal for its five k measured 2.9 against 3.6 ms, but the benchmark
+    counts T4's terms for this route.  The values are bit-identical to
+    per-row calls.
     """
     if catalog is None:
         catalog = builtin_catalog()
@@ -194,6 +195,7 @@ def build_table(spec: TableSpec, catalog: ZeroCatalog | None = None
         return ("k",) + columns, rows
     refs = ((REF_GAMMA_BY_Q if gamma else REF_ZERO_BY_Q)
             if ks[0] == _DEFAULT_K else {})
-    rows = [{"q": q, "t_q": zero.t, **cells(value, refs.get(q), f"q={q}")}
-            for q, zero, value in zip(qs, zeros, values)]
+    rows = [{"q": zero.q, "t_q": zero.t,
+             **cells(value, refs.get(zero.q), f"q={zero.q}")}
+            for zero, value in zip(zeros, values)]
     return ("q", "t_q") + columns, rows

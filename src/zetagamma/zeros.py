@@ -13,18 +13,22 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import CatalogError, CatalogLookupError, CatalogParseError, DomainError
+from .summation import _check_positive_int
 
 
 @dataclass(frozen=True)
 class ZetaZero:
-    """1-based index q and positive imaginary part t of a zero."""
+    """1-based index q and positive imaginary part t of a zero.
+
+    q may be any integer type but bool, and is stored as an int.
+    """
 
     q: int
     t: float
 
     def __post_init__(self):
-        if not isinstance(self.q, int) or self.q < 1:
-            raise DomainError("zero index q must be a positive integer")
+        q = _check_positive_int(self.q, "zero index q")
+        object.__setattr__(self, "q", q)
         if not (0.0 < self.t < math.inf):
             raise DomainError("zero ordinate t must be finite and positive")
 
@@ -126,7 +130,12 @@ def load_catalog(path: str | Path) -> ZeroCatalog:
 
 
 def get_zero(catalog: ZeroCatalog, q: int) -> ZetaZero:
-    """Look up index q, reporting the nearest available index on a miss."""
+    """Look up index q, reporting the nearest available index on a miss.
+
+    q is checked as ``ZetaZero`` checks it: a float or bool is a
+    ``DomainError``, not a lookup.
+    """
+    q = _check_positive_int(q, "zero index q")
     for z in catalog.zeros:
         if z.q == q:
             return z

@@ -738,11 +738,14 @@ def test_zero_list_traversal_memory_is_bounded():
 _FAULTS = """
 import json, resource
 from zetagamma import builtin_catalog, g_of_t, get_zero
-from zetagamma.series import _gamma_pairs
+from zetagamma.series import SeriesParams, _gamma_pairs, offdiag_naive
 from zetagamma.tables import TableSpec, build_table
 t1 = get_zero(builtin_catalog(), 1).t
-calls = {f"T{i}": lambda i=i: build_table(TableSpec(f"T{i}"))
-         for i in range(1, 7)}
+# The oracle runs first: after the tables' larger blocks are freed, glibc's
+# raised mmap threshold would hide its per-block arrays.
+calls = {"naive": lambda: offdiag_naive(SeriesParams(0.5, t1, 2000), True)}
+calls.update((f"T{i}", lambda i=i: build_table(TableSpec(f"T{i}")))
+             for i in range(1, 7))
 calls["pairs"] = lambda: _gamma_pairs([10**6], [(t1, 1)])
 calls["g"] = lambda: g_of_t(t1, 10**6)
 faults = {}
@@ -758,9 +761,10 @@ print(json.dumps(faults))
 
 @pytest.fixture(scope="module")
 def warm_faults():
-    # Minor page faults of one warm call of each table, of one gamma pair
-    # and of one g step at k = 1e6, counted in a fresh process: what this
-    # process ran before would set the allocator's state.
+    # Minor page faults of one warm call of the oracle at k = 2000, of each
+    # table, and of one gamma pair and one g step at k = 1e6, counted in a
+    # fresh process: what this process ran before would set the allocator's
+    # state.
     pytest.importorskip("resource")
     src = str(Path(summation.__file__).parent.parent)
     proc = subprocess.run([sys.executable, "-c", _FAULTS],
@@ -770,48 +774,88 @@ def warm_faults():
 
 
 @pytest.mark.parametrize("call, bound", [
-    *((f"T{i}", 100) for i in range(1, 7)), ("pairs", 500), ("g", 100)])
+    *((f"T{i}", 100) for i in range(1, 7)), ("pairs", 500), ("g", 100),
+    ("naive", 20)])
 def test_traversals_do_not_page_fault_per_chunk(warm_faults, call, bound):
     # Every traversal computes its chunks into one work block of its own
     # and extracts into rows allocated once per sum, so a warm call faults
     # in almost no fresh page; freeing and refetching chunk arrays instead
     # cost 490-1536 minor faults per table, 9856 per gamma pair and 224 per
-    # g step on a cosine callback of its own.  The first free of a block
-    # raises glibc's mmap threshold past its size, so the next call still
-    # grows the heap once: two warm-up calls, then the third is counted.
+    # g step on a cosine callback of its own.  The oracle computes its row
+    # blocks into one buffer per call; a fresh array per block cost 64-79
+    # faults at k = 2000.  The first free of a block raises glibc's mmap
+    # threshold past its size, so the next call still grows the heap once:
+    # two warm-up calls, then the third is counted.
     assert warm_faults[call] < bound, warm_faults
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 1000])
 def test_each_chunk_is_extracted_once(chunk, monkeypatch):
     # Every chunk of every term array goes through one extraction straight
-    # into its exact integer totals; nothing is extracted again after the
-    # last chunk, also past 4096 chunks, whatever the chunk length.  Each
-    # extraction is recorded by its first term and its length.
+    # into its array's exact integer total; nothing is extracted again
+    # after the last chunk, also past 4096 chunks, whatever the chunk
+    # length.  Each extraction is recorded by its first term and its length.
+    # A pair sum with an end at k // 2 stops a chunk there.
     extracted = []
     exact_units = summation._exact_units
 
-    def spy(x, cuts, work):
+    def spy(x, work):
         extracted.append((x[0], x.size))
-        return exact_units(x, cuts, work)
+        return exact_units(x, work)
 
     def columns(idx):
         nf = idx.astype(np.float64)
         yield nf
         yield -nf
 
+    def chunks(lo, hi):
+        return [(a, min(chunk, hi + 1 - a)) for a in range(lo, hi + 1, chunk)]
+
     monkeypatch.setattr(summation, "_exact_units", spy)
     monkeypatch.setattr(summation, "DEFAULT_CHUNK", chunk)
     k = 4100 * chunk + chunk // 2
-    chunks = [(lo, min(chunk, k + 1 - lo)) for lo in range(1, k + 1, chunk)]
     assert chunked_parallel_sum(lambda n: n.astype(np.float64), k) == \
         k * (k + 1) // 2
-    assert extracted == chunks
+    assert extracted == chunks(1, k)
     extracted.clear()
     assert chunked_parallel_pair_sum(columns, k, ((k, k // 2), (k,))) == \
         (k * (k + 1) // 2, k // 2 * (k // 2 + 1) // 2, -(k * (k + 1) // 2))
-    assert extracted == [c for lo, size in chunks
+    split = chunks(1, k // 2) + chunks(k // 2 + 1, k)
+    assert extracted == [c for lo, size in split
                          for c in ((lo, size), (-lo, size))]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4096])
+def test_every_prefix_end_closes_a_chunk(chunk, monkeypatch):
+    # Ends at 1, at chunk edges and one either side, repeated, unsorted and
+    # at k.  The callback sees consecutive index ranges covering 1..k, and
+    # each range stops at the first of the next end of any array, chunk
+    # indices or k: every end is the last index of a range, and only a
+    # range that ends at an end or at k is short.  Each total is math.fsum
+    # of its prefix.
+    monkeypatch.setattr(summation, "DEFAULT_CHUNK", chunk)
+    k = 3 * chunk + 2
+    ends = ((k, 1, chunk + 1, chunk, chunk - 1, 2 * chunk, 2 * chunk, 1),
+            (2 * chunk + 1, k, 0))
+    ranges = []
+
+    def columns(idx):
+        ranges.append((int(idx[0]), int(idx[-1])))
+        nf = idx.astype(np.float64)
+        yield 1.0 / nf
+        yield np.where(idx % 2 == 0, 1.0, -1.0) / np.sqrt(nf)
+
+    totals = chunked_parallel_pair_sum(columns, k, ends)
+    stops = {m for item in ends for m in item} | {k}
+    assert [lo for lo, _ in ranges] == [1] + [hi + 1 for _, hi in ranges[:-1]]
+    assert ranges[-1][1] == k
+    assert stops - {0} <= {hi for _, hi in ranges}
+    assert all(hi - lo + 1 == chunk or hi in stops and hi - lo < chunk
+               for lo, hi in ranges)
+    n = np.arange(1, k + 1)
+    terms = (1.0 / n, np.where(n % 2 == 0, 1.0, -1.0) / np.sqrt(n))
+    assert totals == tuple(math.fsum(x[:m].tolist())
+                           for x, item in zip(terms, ends) for m in item)
 
 
 # ---------------------- argument checks and the k cap -----------------------

@@ -1,5 +1,6 @@
 """Zero catalog: embedded values, file parsing, and transcription checks."""
 
+import numpy as np
 import pytest
 
 from zetagamma import (
@@ -9,6 +10,8 @@ from zetagamma import (
     CatalogSource,
     DomainError,
     EULER_GAMMA,
+    TableSpec,
+    build_table,
     builtin_catalog,
     g_of_t,
     gamma_type1,
@@ -34,6 +37,28 @@ def test_lookup_miss_reports_nearest():
         get_zero(cat, 11)
     with pytest.raises(CatalogLookupError, match="nearest available: q=100000"):
         get_zero(cat, 90000)
+
+
+@pytest.mark.parametrize("q", [True, False, 1.0, "x", None, 0, -1])
+def test_zero_index_must_be_a_positive_integer(q):
+    # A bool or float index is a DomainError wherever a zero is named or
+    # looked up, never a lookup of zero 1 or a row labelled q=True.
+    with pytest.raises(DomainError, match="zero index q"):
+        ZetaZero(q, 14.1)
+    with pytest.raises(DomainError, match="zero index q"):
+        get_zero(builtin_catalog(), q)
+    with pytest.raises(DomainError, match="zero index q"):
+        build_table(TableSpec("T2", zero_indices=(q,)))
+
+
+@pytest.mark.parametrize("q", [3, np.int64(3), np.int32(3)])
+def test_zero_index_accepts_numpy_integers_and_stores_an_int(q):
+    zero = ZetaZero(q, 25.0)
+    assert zero.q == 3 and type(zero.q) is int
+    found = get_zero(builtin_catalog(), q)
+    assert found.q == 3 and found.t == 25.0108575801457
+    [row] = build_table(TableSpec("T2", zero_indices=(q,), k=100))[1]
+    assert type(row["q"]) is int
 
 
 def test_load_bare_ordinates(tmp_path):

@@ -7,7 +7,7 @@ from a nearby starting value can recover a zero ordinate, but convergence
 is fragile - it depends strongly on the truncation k and the start point,
 so non-convergence is reported as a status, never an exception.
 
-Both maps read their sums off ``series``' one traversal of n = 1..k and
+Both maps read their sums off ``series``' traversals of n = 1..k and
 define no term callback of their own.  The g map needs only
 ``Re S(1/2 + it, k)``, so its traversal skips the sine half of the trig
 kernel.
@@ -72,15 +72,10 @@ def f_of_t(t: float, k: int) -> float:
     positive or the square-root argument is negative - the formula left
     its real domain at this (t, k).
     """
-    _check_t(t)
-    k = _check_positive_int(k, "k", minimum=2)
-    return _f_step(t, k, partial_zeta(1.0, 0.0, k))
-
-
-def _f_step(t: float, k: int, diag: complex) -> float:
-    # f at (t, k) with its diagonal H_k = diag summed by the caller, so that
-    # a run of f steps at one k sums H_k once.
-    return _f_formula(t, k, _offdiag(partial_zeta(0.5, t, k), diag))
+    [value] = _f_values((t,), k)
+    if isinstance(value, SingularGuardError):
+        raise value
+    return value
 
 
 def _check_t(t: float) -> None:
@@ -103,8 +98,8 @@ def _f_formula(t: float, k: int, off: float) -> float:
 
 def _f_values(ts: Sequence[float], k: int
               ) -> list[float | SingularGuardError]:
-    # f_of_t(t, k) for each t in ts, bit for bit, from one traversal of
-    # n = 1..k shared by every ordinate (H_k summed once, log n and n^-1/2
+    # f_of_t(t, k) for each t in ts from two traversals of n = 1..k: H_k,
+    # summed once, and one shared by every ordinate (log n and n^-1/2
     # evaluated once per n).  An ordinate whose guard trips gets the
     # SingularGuardError in place of its value; the others still count.
     # No ordinates, no sum.
@@ -113,8 +108,8 @@ def _f_values(ts: Sequence[float], k: int
     for t in ts:
         _check_t(t)
     k = _check_positive_int(k, "k", minimum=2)
-    [diag], *sums = _partial_zeta_direct(
-        ((1.0, 0.0, (k,)), *((0.5, t, (k,)) for t in ts)))
+    diag = partial_zeta(1.0, 0.0, k)
+    sums = _partial_zeta_direct(0.5, [(t, (k,)) for t in ts])
     values: list[float | SingularGuardError] = []
     for t, [z] in zip(ts, sums):
         try:
@@ -145,7 +140,7 @@ def g_of_t(t: float, k: int) -> float:
             f"t log k = {x!r} sits within {SINGULARITY_EPS} of a trig pole "
             f"(|sin|={abs(s):.3e}, |cos|={abs(c):.3e})")
     # Only Re S(1/2 + it, k) is needed: the sine half is not computed.
-    [[z]] = _partial_zeta_direct(((0.5, t, (k,)),), imag=False)
+    [[z]] = _partial_zeta_direct(0.5, ((t, (k,)),), imag=False)
     return (c / s) * ((0.25 + t * t) / (math.sqrt(k) * c) * z.real - 0.5)
 
 
@@ -158,6 +153,8 @@ def iterate_fixed_point(map: FixedPointMap, y0: float, k: int,
     leaves (0, 10*y0), and SINGULAR_GUARD when a guard trips.  Failure
     modes are statuses, not exceptions: most start points do not converge.
     """
+    if not isinstance(map, FixedPointMap):
+        raise DomainError(f"map must be a FixedPointMap, not {map!r}")
     if not (0.0 < y0 < math.inf):
         raise DomainError("y0 must be finite and positive")
     max_iters = _check_positive_int(max_iters, "max_iters")
@@ -177,7 +174,8 @@ def iterate_fixed_point(map: FixedPointMap, y0: float, k: int,
             if map is FixedPointMap.G_MAP:
                 y = g_of_t(prev, k)
             else:
-                y = _f_step(prev, k, diag)
+                y = _f_formula(
+                    prev, k, _offdiag(partial_zeta(0.5, prev, k), diag))
         except SingularGuardError:
             status = FixedPointStatus.SINGULAR_GUARD
             break

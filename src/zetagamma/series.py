@@ -38,14 +38,15 @@ sum to k//2), and type2 takes the plain sum at k-1, so one unsigned trig
 column serves both estimators at every k: its ends are declared once per
 sum, and the chunked sum reduces it exactly once, stopping a chunk at
 each end to read its exact running total there (see
-:mod:`zetagamma.summation`), each rounded once.  A table therefore takes
-one traversal of n = 1..k at its largest k for all its zeros and all its
-k: the diagonals H_k and H_(k-1) do not depend on the zero and are summed
-once, and each chunk takes log n and n^-1/2 once for all zeros and the
-trig factors once per ordinate.  Each value is bit-identical to a call
-for that zero and k alone.  Every chunk is computed into one work block
-per traversal, not into new arrays: n is converted to float once, and
-n^-sigma and log n are taken from that row.
+:mod:`zetagamma.summation`), each rounded once.  Every traversal sums at
+one sigma, so a table takes two traversals of n = 1..k at its largest k
+for all its zeros and all its k: one sums the diagonals H_k and H_(k-1),
+which do not depend on the zero, and the other every zero's trig columns,
+taking log n and n^-1/2 once per chunk for all zeros and the trig factors
+once per ordinate.  ``gamma_type1``, ``gamma_type2`` and ``f_of_t`` are
+the tables' routines at one zero and one k.  Every chunk is computed into
+one work block per traversal, not into new arrays: n is converted to
+float once, and n^-sigma and log n are taken from that row.
 """
 
 from __future__ import annotations
@@ -169,7 +170,8 @@ def _n_pow(n: np.ndarray, sigma: float, out: np.ndarray) -> np.ndarray:
     elif sigma == 1.0:
         np.divide(1.0, n, out=out)
     else:
-        np.power(n, -sigma, out=out)
+        with np.errstate(over="ignore"):  # inf terms: DomainError
+            np.power(n, -sigma, out=out)
     return out
 
 
@@ -206,36 +208,33 @@ def _cos_msin(t: float, log_n: np.ndarray, rows: np.ndarray
     return cos, u
 
 
-def _partial_zeta_direct(parts: Sequence[tuple[float, float, Sequence[int]]],
+def _partial_zeta_direct(sigma: float,
+                         parts: Sequence[tuple[float, Sequence[int]]],
                          imag: bool = True) -> list[list[complex]]:
-    # [S(sigma + it, m) for m in ends] for each (sigma, t, ends) in parts,
-    # in order, from one traversal of n = 1..max end.  Each chunk is
-    # computed into the rows of one block: n as floats once, into the log
-    # row, then n^-sigma from it once per distinct sigma and its log in
-    # place; the trig factors once per part.  Each part yields its trig
-    # columns, all written to one output row (den's, free once -sin is
-    # taken), and declares its ends once per column: the chunked sum reduces
-    # each array before it asks for the next, and stops a chunk at every
-    # end to read the column's exact total there.  At t == 0 only the real
-    # part is summed, off the n^-sigma row; with imag false, every part's
-    # real part alone, from the kernel's cosine half (_half_angle).  An
-    # imaginary part not summed is 0.0.
-    k = max((m for _, _, ends in parts for m in ends), default=0)
-    sigmas = list(dict.fromkeys(sigma for sigma, _, _ in parts))
-    trig = any(t != 0.0 for _, t, _ in parts)
-    layout = [ends for _, t, ends in parts
+    # [S(sigma + it, m) for m in ends] for each (t, ends) in parts, in
+    # order, from one traversal of n = 1..max end.  Each chunk is computed
+    # into the rows of one block: n as floats once, into the log row, then
+    # n^-sigma from it and its log in place; the trig factors once per
+    # part.  Each part yields its trig columns, all written to one output
+    # row (den's, free once -sin is taken), and declares its ends once per
+    # column: the chunked sum reduces each array before it asks for the
+    # next, and stops a chunk at every end to read the column's exact total
+    # there.  At t == 0 only the real part is summed, off the n^-sigma row;
+    # with imag false, every part's real part alone, from the kernel's
+    # cosine half (_half_angle).  An imaginary part not summed is 0.0.
+    k = max((m for _, ends in parts for m in ends), default=0)
+    trig = any(t != 0.0 for t, _ in parts)
+    layout = [ends for t, ends in parts
               for _ in range(2 if imag and t != 0.0 else 1)]
-    block = _chunk_rows(4 + len(sigmas), k)
+    block = _chunk_rows(5, k)
 
     def columns(idx: np.ndarray):
-        log_n, cos, msin, out, *rows = block[:, :idx.size]
+        log_n, cos, msin, out, w = block[:, :idx.size]
         log_n[...] = idx
-        powers = {sigma: _n_pow(log_n, sigma, row)
-                  for sigma, row in zip(sigmas, rows)}
+        _n_pow(log_n, sigma, w)
         if trig:
             np.log(log_n, out=log_n)
-        for sigma, t, _ in parts:
-            w = powers[sigma]
+        for t, _ in parts:
             if t == 0.0:
                 yield w
             elif imag:
@@ -248,7 +247,7 @@ def _partial_zeta_direct(parts: Sequence[tuple[float, float, Sequence[int]]],
 
     totals = iter(chunked_parallel_pair_sum(columns, k, layout))
     sums: list[list[complex]] = []
-    for _, t, ends in parts:
+    for t, ends in parts:
         real = [next(totals) for _ in ends]
         im = [next(totals) if imag and t != 0.0 else 0.0 for _ in ends]
         sums.append(list(map(complex, real, im)))
@@ -331,7 +330,7 @@ def _partial_zeta_em(sigma: float, k: int) -> float:
         integral = log_ratio
     else:
         integral = n ** u * math.expm1(u * log_ratio) / u
-    [[head_sum]] = _partial_zeta_direct(((sigma, 0.0, (head,)),))
+    [[head_sum]] = _partial_zeta_direct(sigma, ((0.0, (head,)),))
     return compensated_sum((head_sum.real, integral,
                             _em_tail(sigma, n, terms + 1),
                             -_em_tail(sigma, end, terms + 1)))
@@ -368,9 +367,9 @@ def partial_zeta(sigma: float, t: float, k: int,
     if k > MAX_DIRECT_K and t == 0.0 and not alternating and sigma > 0.0:
         return complex(_partial_zeta_em(sigma, k), 0.0)
     if alternating:
-        [[half, full]] = _partial_zeta_direct(((sigma, t, (k // 2, k)),))
+        [[half, full]] = _partial_zeta_direct(sigma, ((t, (k // 2, k)),))
         return _alternating(sigma, t, half, full)
-    [[z]] = _partial_zeta_direct(((sigma, t, (k,)),))
+    [[z]] = _partial_zeta_direct(sigma, ((t, (k,)),))
     return z
 
 
@@ -512,17 +511,6 @@ def _gamma_params(t_q: float, k: int) -> SeriesParams:
     return SeriesParams(0.5, t_q, k)
 
 
-def _type1(off: float, p: SeriesParams, q: int | None) -> GammaEstimate:
-    return GammaEstimate(value=-off - math.log(p.k),
-                         method=GammaMethod.ALT_TYPE1, q=q, t_q=p.t, k=p.k)
-
-
-def _type2(off: float, p: SeriesParams, q: int | None) -> GammaEstimate:
-    value = p.k / (0.25 + p.t * p.t) - off - math.log(p.k - 1)
-    return GammaEstimate(value=value, method=GammaMethod.NONALT_TYPE2,
-                         q=q, t_q=p.t, k=p.k)
-
-
 def gamma_type1(t_q: float, k: int, q: int | None = None) -> GammaEstimate:
     """Euler-Mascheroni estimate from the alternating series at a zero.
 
@@ -530,8 +518,7 @@ def gamma_type1(t_q: float, k: int, q: int | None = None) -> GammaEstimate:
     the sign absorption turns the cancellation of the alternating double
     sum against H_k into a direct gamma estimate.
     """
-    p = _gamma_params(t_q, k)
-    return _type1(offdiag_factorized(p, alternating=True), p, q)
+    return _gamma_pairs((k,), ((t_q, q),))[0][0]
 
 
 def gamma_type2(t_q: float, k: int, q: int | None = None) -> GammaEstimate:
@@ -542,34 +529,36 @@ def gamma_type2(t_q: float, k: int, q: int | None = None) -> GammaEstimate:
     matching the bundled reference tables; the reindexed variant that sums
     to k with leading term (k+1) is the same quantity evaluated at k+1.
     """
-    p = _gamma_params(t_q, k)
-    off = offdiag_factorized(SeriesParams(0.5, t_q, p.k - 1), alternating=False)
-    return _type2(off, p, q)
+    return _gamma_pairs((k,), ((t_q, q),))[0][1]
 
 
 def _gamma_pairs(ks: Sequence[int], zeros: Sequence[tuple[float, int | None]]
                  ) -> list[tuple[GammaEstimate, GammaEstimate]]:
-    # (gamma_type1(t_q, k, q), gamma_type2(t_q, k, q)), bit for bit, at
-    # every k in ks for each (t_q, q) in zeros, k by k, from one traversal
-    # of n = 1..max(ks): log n and n^-1/2 are evaluated once per n, and the
-    # diagonal and each zero's trig columns are reduced once for all their
-    # prefix ends.  Per k, a zero's ends are k//2 and k (its alternating
-    # sum) and k-1 (its plain sum), and the diagonal's k and k-1.  No zeros,
-    # no sum.
+    # (gamma_type1(t_q, k, q), gamma_type2(t_q, k, q)) at every k in ks for
+    # each (t_q, q) in zeros, k by k, from two traversals of n = 1..max(ks):
+    # one of the diagonal H, to k and k-1, and one of every zero's trig
+    # columns, with log n and n^-1/2 evaluated once per n.  Each column is
+    # reduced once for all its prefix ends: per k, a zero's k//2 and k (its
+    # alternating sum) and k-1 (its plain sum).  No zeros, no sum.
     rows = [[(_gamma_params(t_q, k), q) for t_q, q in zeros] for k in ks]
     if not zeros:
         return []
-    diag, *sums = _partial_zeta_direct((
-        (1.0, 0.0, [m for k in ks for m in (k, k - 1)]),
-        *((0.5, t_q, [m for k in ks for m in (k // 2, k, k - 1)])
-          for t_q, _ in zeros)))
+    [diag] = _partial_zeta_direct(
+        1.0, ((0.0, [m for k in ks for m in (k, k - 1)]),))
+    sums = _partial_zeta_direct(
+        0.5, [(t_q, [m for k in ks for m in (k // 2, k, k - 1)])
+              for t_q, _ in zeros])
     pairs = []
     for i, row in enumerate(rows):
         for (p, q), zero_sums in zip(row, sums):
             half, full, prev = zero_sums[3 * i:3 * i + 3]
             alt = _alternating(0.5, p.t, half, full)
-            pairs.append((_type1(_offdiag(alt, diag[2 * i]), p, q),
-                          _type2(_offdiag(prev, diag[2 * i + 1]), p, q)))
+            type1 = -_offdiag(alt, diag[2 * i]) - math.log(p.k)
+            type2 = (p.k / (0.25 + p.t * p.t)
+                     - _offdiag(prev, diag[2 * i + 1]) - math.log(p.k - 1))
+            pairs.append((
+                GammaEstimate(type1, GammaMethod.ALT_TYPE1, q, p.t, p.k),
+                GammaEstimate(type2, GammaMethod.NONALT_TYPE2, q, p.t, p.k)))
     return pairs
 
 
@@ -613,5 +602,8 @@ def em_rhs(t_q: float, k: int) -> tuple[float, float]:
     if not (0.0 < t_q < math.inf):
         raise DomainError("t_q must be finite and positive")
     s = complex(0.5, t_q)
-    z = _as_float(k) ** (1.0 - s) / (1.0 - s)
+    try:
+        z = _as_float(k) ** (1.0 - s) / (1.0 - s)
+    except ZeroDivisionError:  # how CPython reports a phase past binary64
+        raise DomainError("t_q log k is not finite in binary64") from None
     return z.real, -z.imag

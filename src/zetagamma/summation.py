@@ -191,8 +191,11 @@ def _chunked_sum(block_fn: Callable[[np.ndarray], Iterable[np.ndarray]],
                     block_fn(np.arange(lo, hi, dtype=np.int64))):
                 if i == len(ends):
                     break
-                running[i] += _exact_units(
-                    np.asarray(terms, dtype=np.float64).ravel(), work)
+                terms = np.asarray(terms, dtype=np.float64).ravel()
+                if terms.size != hi - lo:
+                    raise DomainError(f"the callback must give one term per "
+                                      f"index, {hi - lo} in this chunk")
+                running[i] += _exact_units(terms, work)
             if i != len(ends) - 1:
                 raise DomainError(
                     f"the callback must give {len(ends)} term arrays per chunk")
@@ -226,10 +229,11 @@ def chunked_parallel_pair_sum(pair_fn: Callable[[np.ndarray],
     ``pair_fn`` maps an int64 index array to its term arrays (two for a
     cosine/sine pair) that reuse common work (one log per index,
     typically), returned as a tuple or yielded one at a time: one array per
-    entry of ``ends``, in order, in every chunk, or ``DomainError``.  Each
-    array is reduced before the next is asked for, so a generator may
-    overwrite one array and yield it again for every entry; arrays
-    returned as a tuple all exist at once, so they must not share memory.
+    entry of ``ends``, in order, in every chunk, each of one term per
+    index, or ``DomainError``.  Each array is reduced before the next is
+    asked for, so a generator may overwrite one array and yield it again
+    for every entry; arrays returned as a tuple all exist at once, so they
+    must not share memory.
     ``ends[i]``, a sequence even for one end, lists the prefix ends of the
     i-th array: each end ``m``, an integer in ``0..k``, is one total, the
     sum of its terms over ``1..m``; ends may repeat and come in any order.

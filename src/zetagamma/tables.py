@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import DomainError, SingularGuardError
-from .fixedpoint import _f_values, f_of_t
+from .fixedpoint import _f_values
 from .series import GammaEstimate, _gamma_pairs
 from .zeros import ZeroCatalog, builtin_catalog, get_zero
 
@@ -126,13 +126,6 @@ def _zero_cells(value: float | SingularGuardError, ref: float | None,
     return {"zero_estimate": value, "dev": _dev(value, ref)}
 
 
-def _f_or_guard(t: float, k: int) -> float | SingularGuardError:
-    try:
-        return f_of_t(t, k)
-    except SingularGuardError as exc:
-        return exc
-
-
 def build_table(spec: TableSpec, catalog: ZeroCatalog | None = None
                 ) -> tuple[tuple[str, ...], list[dict]]:
     """Recompute one table; returns (column names, row dicts keyed by them
@@ -147,14 +140,15 @@ def build_table(spec: TableSpec, catalog: ZeroCatalog | None = None
     zero is looked up before any sum: a zero missing from the catalog
     raises ``CatalogError`` at once.
 
-    Every table but T4 is one traversal of ``n = 1..k`` at its largest k,
-    shared by every row: the harmonic diagonals, ``log n`` and ``n^-1/2``
-    are evaluated once, each zero's trig columns are reduced once for all
-    its k, and every sum to a row's k is the column's exact running total
-    where a chunk stops at that k.  T4 takes ``f_of_t`` row by row: one
-    traversal for its five k measured 2.9 against 3.6 ms, but the benchmark
-    counts T4's terms for this route.  The values are bit-identical to
-    per-row calls.
+    Every table but T4 is two traversals of ``n = 1..k`` at its largest k,
+    shared by every row: one sums the harmonic diagonals, the other every
+    zero's trig columns, with ``log n`` and ``n^-1/2`` evaluated once per
+    n.  Each column is reduced once for all its k: a row's sum is its
+    exact running total where a chunk stops at that k.  T4 takes its rows
+    one k at a time, two traversals each (one for its five k measured 2.9
+    against 3.6 ms, but the benchmark counts T4's terms for this route).
+    ``gamma_type1``, ``gamma_type2`` and ``f_of_t`` take the same routines
+    at one zero and one k, so a row's values are those calls' bits.
     """
     if catalog is None:
         catalog = builtin_catalog()
@@ -183,10 +177,9 @@ def build_table(spec: TableSpec, catalog: ZeroCatalog | None = None
     zeros = [get_zero(catalog, q) for q in qs]
     if gamma:
         values = _gamma_pairs(ks, [(zero.t, zero.q) for zero in zeros])
-    elif sweep:
-        values = [_f_or_guard(zero.t, k) for k in ks for zero in zeros]
     else:
-        values = _f_values([zero.t for zero in zeros], ks[0])
+        values = [value for k in ks
+                  for value in _f_values([zero.t for zero in zeros], k)]
     if sweep:
         refs = ((REF_GAMMA_SWEEP if gamma else REF_ZERO_SWEEP)
                 if zeros[0].q == 1 else {})

@@ -162,6 +162,9 @@ def test_iterate_preconditions():
         iterate_fixed_point(FixedPointMap.G_MAP, -1.0, 100, 5, 1e-12)
     with pytest.raises(DomainError):
         iterate_fixed_point(FixedPointMap.G_MAP, 14.2, 100, 0, 1e-12)
+    for name in ("g", "f", None):
+        with pytest.raises(DomainError, match="FixedPointMap"):
+            iterate_fixed_point(name, 14.0, 100, 3, 0.0)
 
 
 @pytest.mark.parametrize("max_iters, tol", [

@@ -82,11 +82,19 @@ def test_bool_rejected_where_integer_expected():
     # (log j)^n from n = 300: no OverflowError, no numpy overflow warning.
     lambda: stieltjes_estimate(270, 10**6),
     lambda: stieltjes_estimate(300, 10**6),
+    # n^-sigma past binary64: no numpy overflow warning ahead of the error.
+    lambda: partial_zeta(-1e6, 0.0, 10),
+    lambda: partial_zeta(-400.0, 1.0, 10, True),
+    lambda: zeta_em(-400.0, 0.0, 10),
+    # t log k past binary64: no ZeroDivisionError from the complex power.
+    lambda: em_rhs(1e308, 10),
 ], ids=["em_rhs_inf", "n_terms_float", "n_terms_bool",
         "gamma_nan", "gamma_inf", "gamma_-inf", "n_terms_past_table",
         "harmonic_asymptotic_k_past_binary64", "em_rhs_k_past_binary64",
         "harmonic_k_past_int_str_limit", "stieltjes_tail_past_binary64",
-        "stieltjes_terms_past_binary64"])
+        "stieltjes_terms_past_binary64", "powers_past_binary64",
+        "alternating_powers_past_binary64", "zeta_em_powers_past_binary64",
+        "em_rhs_phase_past_binary64"])
 def test_typed_errors_at_library_edge(call):
     with pytest.raises(DomainError):
         call()
@@ -222,29 +230,30 @@ def test_partial_zeta_alternating_identity():
 
 
 def test_zero_list_traversal_matches_lone_sums_property():
-    # The tables take every ordinate's sums at every k from one traversal:
-    # per ordinate and k the plain sums to k//2, k and k-1, plus H_k and
-    # H_(k-1).  Each must equal a lone partial_zeta bit for bit, for
-    # ordinates above k, repeated ordinates and ends, ends at 0 and k at
-    # chunk edges.
+    # A traversal sums at one sigma the parts of every ordinate: the tables
+    # take each zero's plain sums to k//2, k and k-1 at sigma = 1/2 from
+    # one, and H_k and H_(k-1) from one of their own (t = 0, sigma = 1).
+    # Each must equal a lone partial_zeta bit for bit, for ordinates above
+    # k, t = 0 beside trig parts, repeated ordinates and ends, ends at 0
+    # and k at chunk edges.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     ordinate = st.one_of(st.floats(0.1, 300.0), st.floats(7.4e4, 7.6e4),
-                         st.sampled_from((T1, T2)))
+                         st.sampled_from((0.0, T1, T2)))
 
     @hypothesis.settings(max_examples=30, deadline=None, derandomize=True,
                          database=None)
-    @hypothesis.given(ts=st.lists(ordinate, min_size=1, max_size=4),
+    @hypothesis.given(sigma=st.sampled_from((0.5, 1.0)),
+                      ts=st.lists(ordinate, min_size=1, max_size=4),
                       ks=st.lists(st.sampled_from((2, 3, 4095, 4096, 4097,
                                                    8193, 16384, 16385)),
                                   min_size=1, max_size=2))
-    def check(ts, ks):
-        parts = ((1.0, 0.0, [m for k in ks for m in (k, k - 1)]),) + tuple(
-            (0.5, t, [m for k in ks for m in (k // 2, k, k - 1, 0, k)])
-            for t in ts + ts[:1])
-        sums = series_module._partial_zeta_direct(parts)
-        assert [len(z) for z in sums] == [len(ends) for _, _, ends in parts]
-        for (sigma, t, ends), zs in zip(parts, sums):
+    def check(sigma, ts, ks):
+        parts = [(t, [m for k in ks for m in (k // 2, k, k - 1, 0, k)])
+                 for t in ts + ts[:1]]
+        sums = series_module._partial_zeta_direct(sigma, parts)
+        assert [len(z) for z in sums] == [len(ends) for _, ends in parts]
+        for (t, ends), zs in zip(parts, sums):
             for m, z in zip(ends, zs):
                 lone = partial_zeta(sigma, t, m)
                 assert (z.real.hex(), z.imag.hex()) == \

@@ -1,6 +1,5 @@
 """Compensated summation engine: accuracy bounds and determinism."""
 
-import json
 import math
 import os
 import random
@@ -418,13 +417,13 @@ def test_chunked_total_bit_identical_across_chunk_boundaries(make):
 
 @pytest.mark.parametrize("make", ADVERSARIAL, ids=lambda f: f.__name__[1:])
 def test_folded_chunk_totals_bit_identical(make):
-    # At a chunk length of 1 every term is its own chunk total, folded into
-    # the sum's exact integer total one adversarial value at a time.
+    # At a chunk length of 1 every term is its own chunk, joined to the
+    # sum's exact integer total one adversarial value at a time.
     x = make(np.random.default_rng(20_000), 20_000)
     _assert_bit_identical(x, chunk=1)
 
 
-def test_chunk_totals_are_folded_so_no_column_grows_with_k(monkeypatch):
+def test_each_array_keeps_one_int_so_no_column_grows_with_k(monkeypatch):
     # Four term arrays of 64-term chunks.  Kept, every chunk's pass totals
     # would cost at least 32 bytes (a float and its list slot): 4 * 700 * 32
     # = 90 kB more at the larger k.  Each array keeps one exact integer
@@ -512,13 +511,13 @@ def test_chunked_total_bit_identical_property():
     check()
 
 
-def test_variant_totals_bit_identical_property():
+def test_prefix_end_totals_bit_identical_property():
     # Each end m declared for a term array is its own total, math.fsum of
-    # the terms at n = 1..m, taken from one extraction per chunk.  Ends
-    # fall at 0, at k, inside and at the edges of chunks of 1, 3 and 4096
-    # terms, repeated (sharing one column) and unsorted; an array may have
-    # no end.  Magnitudes near 2^1023 leave no room for a pass, so their
-    # chunks hand the prefixes' terms to the final fsum.
+    # the terms at n = 1..m, read off the array's exact int where a chunk
+    # stops at m.  Ends fall at 0, at k, inside and at the edges of chunks
+    # of 1, 3 and 4096 terms, repeated (sharing one column) and unsorted;
+    # an array may have no end.  Magnitudes near 2^1023 leave no room for
+    # a pass, so their chunks join the int term by term.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     value = st.one_of(
@@ -578,7 +577,7 @@ def test_chunked_sums_leave_the_callback_arrays_as_they_are():
     assert np.array_equal(x, kept)
 
 
-def test_variant_items_mix_with_plain_arrays():
+def test_arrays_to_k_mix_with_arrays_to_several_ends():
     # Arrays summed to k alone mix with one summed to several ends: one
     # total per end, in the order of the ends, repeated and unsorted ends
     # included.
@@ -628,9 +627,10 @@ def test_prefix_ends_accept_numpy_integers():
 
 
 def test_ends_are_checked_once_per_sum(monkeypatch):
-    # A T1 build declares 40 ends in one traversal (H_k and H_(k-1) at five
-    # k, and k//2, k, k-1 for each of the zero's two trig columns); each is
-    # checked once, however many chunks the traversal takes.
+    # A T1 build declares 40 ends in two traversals (H_k and H_(k-1) at
+    # five k in one, and k//2, k, k-1 for each of the zero's two trig
+    # columns in the other); each is checked once, however many chunks the
+    # traversals take.
     checked = []
     check = summation._check_positive_int
 
@@ -662,6 +662,20 @@ def test_callback_must_give_one_array_per_entry_of_ends(ends):
 
     with pytest.raises(DomainError, match="term arrays per chunk"):
         chunked_parallel_pair_sum(columns, 40_000, ends)
+
+
+@pytest.mark.parametrize("terms", [
+    lambda idx: 1.0, lambda idx: np.ones(3),
+    lambda idx: np.ones((idx.size, 2))], ids=["scalar", "short", "two_wide"])
+def test_callback_must_give_one_term_per_index(terms):
+    # A scalar or an array of another size is refused, not summed as it
+    # is; one term per index of a one-index chunk is accepted.
+    with pytest.raises(DomainError, match="one term per index"):
+        chunked_parallel_sum(terms, 10)
+    with pytest.raises(DomainError, match="one term per index"):
+        chunked_parallel_pair_sum(lambda idx: (1.0 / idx, terms(idx)), 10,
+                                  ((10,), (10,)))
+    assert chunked_parallel_sum(lambda idx: 1.0, 1) == 1.0
 
 
 @pytest.mark.parametrize("alternating", [False, True])
@@ -720,8 +734,8 @@ def test_values_do_not_depend_on_the_chunk_length():
 
 
 def test_zero_list_traversal_memory_is_bounded():
-    # A T2 traversal (ten zeros, k = 1e5) keeps a chunk's arrays alive one
-    # or two columns at a time and folds each column's parts: its traced
+    # T2's traversals (ten zeros, k = 1e5) keep a chunk's arrays alive one
+    # or two columns at a time and one exact int per column: the traced
     # peak stays near a dozen arrays of DEFAULT_CHUNK floats.  The first call
     # makes one-off allocations, so it is not counted.
     zeros = _zeros(10)
@@ -736,47 +750,41 @@ def test_zero_list_traversal_memory_is_bounded():
 
 
 _FAULTS = """
-import json, resource
+import resource, sys
 from zetagamma import builtin_catalog, g_of_t, get_zero
 from zetagamma.series import SeriesParams, _gamma_pairs, offdiag_naive
 from zetagamma.tables import TableSpec, build_table
 t1 = get_zero(builtin_catalog(), 1).t
-# The oracle runs first: after the tables' larger blocks are freed, glibc's
-# raised mmap threshold would hide its per-block arrays.
-calls = {"naive": lambda: offdiag_naive(SeriesParams(0.5, t1, 2000), True)}
+calls = {"naive": lambda: offdiag_naive(SeriesParams(0.5, t1, 2000), True),
+         "pairs": lambda: _gamma_pairs([10**6], [(t1, 1)]),
+         "g": lambda: g_of_t(t1, 10**6)}
 calls.update((f"T{i}", lambda i=i: build_table(TableSpec(f"T{i}")))
              for i in range(1, 7))
-calls["pairs"] = lambda: _gamma_pairs([10**6], [(t1, 1)])
-calls["g"] = lambda: g_of_t(t1, 10**6)
-faults = {}
-for name, run in calls.items():
-    run()
-    run()
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    run()
-    faults[name] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-print(json.dumps(faults))
+run = calls[sys.argv[1]]
+run()
+run()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
-@pytest.fixture(scope="module")
-def warm_faults():
-    # Minor page faults of one warm call of the oracle at k = 2000, of each
-    # table, and of one gamma pair and one g step at k = 1e6, counted in a
-    # fresh process: what this process ran before would set the allocator's
-    # state.
-    pytest.importorskip("resource")
+def _warm_faults(call):
+    # Minor page faults of one warm call of the oracle at k = 2000, of a
+    # table, or of one gamma pair or one g step at k = 1e6, each counted in
+    # a fresh process of its own: what a process ran before sets the
+    # allocator's state, and blocks freed by one call could serve the next.
     src = str(Path(summation.__file__).parent.parent)
-    proc = subprocess.run([sys.executable, "-c", _FAULTS],
+    proc = subprocess.run([sys.executable, "-c", _FAULTS, call],
                           capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=src), check=True)
-    return json.loads(proc.stdout)
+    return int(proc.stdout)
 
 
 @pytest.mark.parametrize("call, bound", [
     *((f"T{i}", 100) for i in range(1, 7)), ("pairs", 500), ("g", 100),
     ("naive", 20)])
-def test_traversals_do_not_page_fault_per_chunk(warm_faults, call, bound):
+def test_traversals_do_not_page_fault_per_chunk(call, bound):
     # Every traversal computes its chunks into one work block of its own
     # and extracts into rows allocated once per sum, so a warm call faults
     # in almost no fresh page; freeing and refetching chunk arrays instead
@@ -786,7 +794,9 @@ def test_traversals_do_not_page_fault_per_chunk(warm_faults, call, bound):
     # faults at k = 2000.  The first free of a block raises glibc's mmap
     # threshold past its size, so the next call still grows the heap once:
     # two warm-up calls, then the third is counted.
-    assert warm_faults[call] < bound, warm_faults
+    pytest.importorskip("resource")
+    faults = _warm_faults(call)
+    assert faults < bound, faults
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 1000])

@@ -126,17 +126,18 @@ def test_build_table_matches_direct_calls(spec, expected):
 
 
 @pytest.mark.parametrize("spec, traversals", [
-    (TableSpec("T1"), 1), (TableSpec("T1", k=1000), 1),
+    (TableSpec("T1"), 2), (TableSpec("T1", k=1000), 2),
     (TableSpec("T4"), 10), (TableSpec("T4", k=100, zero_indices=(2,)), 2),
-    (TableSpec("T2"), 1), (TableSpec("T2", k=1000), 1),
-    (TableSpec("T3"), 1), (TableSpec("T3", zero_indices=(100, 1000)), 1),
-    (TableSpec("T5"), 1), (TableSpec("T5", k=1000, zero_indices=(1, 3)), 1),
-    (TableSpec("T6"), 1),
+    (TableSpec("T2"), 2), (TableSpec("T2", k=1000), 2),
+    (TableSpec("T3"), 2), (TableSpec("T3", zero_indices=(100, 1000)), 2),
+    (TableSpec("T5"), 2), (TableSpec("T5", k=1000, zero_indices=(1, 3)), 2),
+    (TableSpec("T6"), 2),
 ], ids=lambda v: f"{v.table_id}-k{v.k}-q{v.zero_indices}"
     if isinstance(v, TableSpec) else str(v))
 def test_traversals_per_table(chunked_sums, spec, traversals):
-    # One traversal of n = 1..k per table, to its largest k: the T1 sweep
-    # reads every row's sums off it as prefix ends.  T4 takes two per row
+    # Two traversals of n = 1..k per table, to its largest k, whatever the
+    # number of zeros or of k: the diagonal's and the zeros'.  The T1 sweep
+    # reads every row's sums off them as prefix ends.  T4 takes two per row
     # (f_of_t's sum and its diagonal).
     build_table(spec)
     assert len(chunked_sums.k) == traversals

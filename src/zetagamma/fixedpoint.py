@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .errors import DomainError, SingularGuardError
 from .series import EULER_GAMMA, _offdiag, _partial_zeta_direct, partial_zeta
-from .summation import _check_positive_int
+from .summation import _check_positive_int, _check_real
 
 #: Guard on |sin(t log k)| and |cos(t log k)| in the g map; the cot and
 #: sec factors amplify roundoff without bound near their poles.
@@ -78,11 +78,6 @@ def f_of_t(t: float, k: int) -> float:
     return value
 
 
-def _check_t(t: float) -> None:
-    if not (0.0 < t < math.inf):
-        raise DomainError("t must be finite and positive")
-
-
 def _f_formula(t: float, k: int, off: float) -> float:
     # f at (t, k) from its doubled off-diagonal sum, with the domain guards.
     denom = EULER_GAMMA + math.log(k) + off
@@ -100,20 +95,19 @@ def _f_values(ts: Sequence[float], k: int
               ) -> list[float | SingularGuardError]:
     # f_of_t(t, k) for each t in ts from two traversals of n = 1..k: H_k,
     # summed once, and one shared by every ordinate (log n and n^-1/2
-    # evaluated once per n).  An ordinate whose guard trips gets the
-    # SingularGuardError in place of its value; the others still count.
-    # No ordinates, no sum.
+    # evaluated once per n), each ordinate's sum read at its end k.  An
+    # ordinate whose guard trips gets the SingularGuardError in place of
+    # its value; the others still count.  No ordinates, no sum.
     if not ts:
         return []
-    for t in ts:
-        _check_t(t)
+    ts = [_check_real(t, "t", positive=True) for t in ts]
     k = _check_positive_int(k, "k", minimum=2)
     diag = partial_zeta(1.0, 0.0, k)
-    sums = _partial_zeta_direct(0.5, [(t, (k,)) for t in ts])
+    sums = _partial_zeta_direct(0.5, ts, (k,))
     values: list[float | SingularGuardError] = []
-    for t, [z] in zip(ts, sums):
+    for t, z in zip(ts, sums):
         try:
-            values.append(_f_formula(t, k, _offdiag(z, diag)))
+            values.append(_f_formula(t, k, _offdiag(z[k], diag)))
         except SingularGuardError as exc:
             values.append(exc)
     return values
@@ -128,7 +122,7 @@ def g_of_t(t: float, k: int) -> float:
     Raises ``SingularGuardError`` when |sin(t log k)| or |cos(t log k)|
     falls below ``SINGULARITY_EPS``; retry with a different k in that case.
     """
-    _check_t(t)
+    t = _check_real(t, "t", positive=True)
     k = _check_positive_int(k, "k", minimum=2)
     x = t * math.log(k)
     if not math.isfinite(x):
@@ -140,8 +134,8 @@ def g_of_t(t: float, k: int) -> float:
             f"t log k = {x!r} sits within {SINGULARITY_EPS} of a trig pole "
             f"(|sin|={abs(s):.3e}, |cos|={abs(c):.3e})")
     # Only Re S(1/2 + it, k) is needed: the sine half is not computed.
-    [[z]] = _partial_zeta_direct(0.5, ((t, (k,)),), imag=False)
-    return (c / s) * ((0.25 + t * t) / (math.sqrt(k) * c) * z.real - 0.5)
+    [z] = _partial_zeta_direct(0.5, (t,), (k,), imag=False)
+    return (c / s) * ((0.25 + t * t) / (math.sqrt(k) * c) * z[k].real - 0.5)
 
 
 def iterate_fixed_point(map: FixedPointMap, y0: float, k: int,
@@ -155,12 +149,12 @@ def iterate_fixed_point(map: FixedPointMap, y0: float, k: int,
     """
     if not isinstance(map, FixedPointMap):
         raise DomainError(f"map must be a FixedPointMap, not {map!r}")
-    if not (0.0 < y0 < math.inf):
-        raise DomainError("y0 must be finite and positive")
+    y0 = _check_real(y0, "y0", positive=True)
     max_iters = _check_positive_int(max_iters, "max_iters")
-    if not (0.0 <= tol < math.inf):
+    tol = _check_real(tol, "tol")
+    if tol < 0.0:
         raise DomainError("tol must be finite and >= 0")
-    iterates = [float(y0)]
+    iterates = [y0]
     status = FixedPointStatus.MAX_ITERS
     residual: float | None = None
     upper = 10.0 * y0
@@ -188,5 +182,5 @@ def iterate_fixed_point(map: FixedPointMap, y0: float, k: int,
         if residual <= tol:
             status = FixedPointStatus.CONVERGED
             break
-    return FixedPointTrace(map=map, k=int(k), tol=float(tol), status=status,
+    return FixedPointTrace(map=map, k=int(k), tol=tol, status=status,
                            final_residual=residual, iterates=tuple(iterates))

@@ -34,19 +34,17 @@ checked against the brute-force oracle ``offdiag_naive``.
 
 Every sum is a plain one to a prefix end.  The alternating sum is
 ``2^(1-s) S(s, k//2) - S(s, k)`` (the even n give ``2^(1-s)`` times the
-sum to k//2), and type2 takes the plain sum at k-1, so one unsigned trig
-column serves both estimators at every k: its ends are declared once per
-sum, and the chunked sum reduces it exactly once, stopping a chunk at
-each end to read its exact running total there (see
-:mod:`zetagamma.summation`), each rounded once.  Every traversal sums at
-one sigma, so a table takes two traversals of n = 1..k at its largest k
-for all its zeros and all its k: one sums the diagonals H_k and H_(k-1),
-which do not depend on the zero, and the other every zero's trig columns,
-taking log n and n^-1/2 once per chunk for all zeros and the trig factors
-once per ordinate.  ``gamma_type1``, ``gamma_type2`` and ``f_of_t`` are
-the tables' routines at one zero and one k.  Every chunk is computed into
-one work block per traversal, not into new arrays: n is converted to
-float once, and n^-sigma and log n are taken from that row.
+sum to k//2), and type2 takes the plain sum at k-1.  A traversal takes
+one sigma, a list of ordinates and one list of prefix ends for all of
+them, and returns one ``{end: S(sigma + it, end)}`` per ordinate: each
+trig column is reduced exactly once, a chunk stopping at every end to
+read its exact running total there (see :mod:`zetagamma.summation`), and
+every caller reads its sums by end.  A table takes two traversals of
+n = 1..k at its largest k: one sums the diagonals H_k and H_(k-1), the
+other every zero's trig columns, with log n and n^-1/2 once per chunk
+for all zeros.  ``gamma_type1``, ``gamma_type2`` and ``f_of_t`` are the
+tables' routines at one zero and one k.  Every chunk is computed into
+one work block per traversal, not into new arrays.
 """
 
 from __future__ import annotations
@@ -64,6 +62,7 @@ from .errors import DomainError, OracleCapError
 from .summation import (
     MAX_DIRECT_K,
     _check_positive_int,
+    _check_real,
     _chunk_rows,
     chunked_parallel_pair_sum,
     chunked_parallel_sum,
@@ -97,10 +96,9 @@ class SeriesParams:
     k: int
 
     def __post_init__(self):
-        if not (0.0 < self.sigma < 1.0):
+        if not (0.0 < _check_real(self.sigma, "sigma") < 1.0):
             raise DomainError("sigma must lie in the open interval (0, 1)")
-        if not math.isfinite(self.t):
-            raise DomainError("t must be finite")
+        _check_real(self.t, "t")
         _check_positive_int(self.k, "k")
 
 
@@ -208,24 +206,20 @@ def _cos_msin(t: float, log_n: np.ndarray, rows: np.ndarray
     return cos, u
 
 
-def _partial_zeta_direct(sigma: float,
-                         parts: Sequence[tuple[float, Sequence[int]]],
-                         imag: bool = True) -> list[list[complex]]:
-    # [S(sigma + it, m) for m in ends] for each (t, ends) in parts, in
-    # order, from one traversal of n = 1..max end.  Each chunk is computed
-    # into the rows of one block: n as floats once, into the log row, then
-    # n^-sigma from it and its log in place; the trig factors once per
-    # part.  Each part yields its trig columns, all written to one output
-    # row (den's, free once -sin is taken), and declares its ends once per
-    # column: the chunked sum reduces each array before it asks for the
-    # next, and stops a chunk at every end to read the column's exact total
-    # there.  At t == 0 only the real part is summed, off the n^-sigma row;
-    # with imag false, every part's real part alone, from the kernel's
-    # cosine half (_half_angle).  An imaginary part not summed is 0.0.
-    k = max((m for _, ends in parts for m in ends), default=0)
-    trig = any(t != 0.0 for t, _ in parts)
-    layout = [ends for t, ends in parts
-              for _ in range(2 if imag and t != 0.0 else 1)]
+def _partial_zeta_direct(sigma: float, ts: Sequence[float],
+                         ends: Sequence[int], imag: bool = True
+                         ) -> list[dict[int, complex]]:
+    # {m: S(sigma + it, m) for m in ends} for each t in ts, from one
+    # traversal of n = 1..max(ends).  Each chunk is computed into one
+    # block's rows: n as floats into the log row, n^-sigma from it, then
+    # its log in place; the trig factors once per ordinate.  Each trig
+    # column goes to one output row (den's, free once -sin is taken) and
+    # is reduced to every end before the next is made.  At t == 0, or with
+    # imag false, only the real part is summed, off the n^-sigma row or the
+    # kernel's cosine half (_half_angle), and the imaginary part is 0.0.
+    k = max(ends, default=0)
+    trig = any(t != 0.0 for t in ts)
+    widths = [2 if imag and t != 0.0 else 1 for t in ts]
     block = _chunk_rows(5, k)
 
     def columns(idx: np.ndarray):
@@ -234,10 +228,10 @@ def _partial_zeta_direct(sigma: float,
         _n_pow(log_n, sigma, w)
         if trig:
             np.log(log_n, out=log_n)
-        for t, _ in parts:
+        for t, width in zip(ts, widths):
             if t == 0.0:
                 yield w
-            elif imag:
+            elif width == 2:
                 _cos_msin(t, log_n, (cos, msin, out))
                 yield np.multiply(cos, w, out=out)
                 yield np.multiply(msin, w, out=out)
@@ -245,12 +239,12 @@ def _partial_zeta_direct(sigma: float,
                 _half_angle(t, log_n, cos, msin, out)
                 yield np.multiply(cos, w, out=out)
 
-    totals = iter(chunked_parallel_pair_sum(columns, k, layout))
-    sums: list[list[complex]] = []
-    for t, ends in parts:
+    totals = iter(chunked_parallel_pair_sum(columns, k, [ends] * sum(widths)))
+    sums = []
+    for width in widths:
         real = [next(totals) for _ in ends]
-        im = [next(totals) if imag and t != 0.0 else 0.0 for _ in ends]
-        sums.append(list(map(complex, real, im)))
+        im = [next(totals) for _ in ends] if width == 2 else [0.0] * len(ends)
+        sums.append(dict(zip(ends, map(complex, real, im))))
     return sums
 
 
@@ -330,8 +324,8 @@ def _partial_zeta_em(sigma: float, k: int) -> float:
         integral = log_ratio
     else:
         integral = n ** u * math.expm1(u * log_ratio) / u
-    [[head_sum]] = _partial_zeta_direct(sigma, ((0.0, (head,)),))
-    return compensated_sum((head_sum.real, integral,
+    [z] = _partial_zeta_direct(sigma, (0.0,), (head,))
+    return compensated_sum((z[head].real, integral,
                             _em_tail(sigma, n, terms + 1),
                             -_em_tail(sigma, end, terms + 1)))
 
@@ -358,19 +352,19 @@ def partial_zeta(sigma: float, t: float, k: int,
     ``sigma > 0`` and no alternation take the Euler-Maclaurin route: a short
     head (15 terms for H_k) directly, then the integral, the endpoint halves
     and up to eight Bernoulli terms, with the remainder bounded by 2^-64;
-    every other sum refuses such a ``k``.  A non-finite ``sigma`` is a
-    ``DomainError``.
+    every other sum refuses such a ``k``.  A ``sigma`` or ``t`` that is not
+    a finite real number is a ``DomainError``.
     """
     k = _check_positive_int(k, "k", minimum=0)
-    if not math.isfinite(sigma):
-        raise DomainError("sigma must be finite")
+    sigma = _check_real(sigma, "sigma")
+    t = _check_real(t, "t")
     if k > MAX_DIRECT_K and t == 0.0 and not alternating and sigma > 0.0:
         return complex(_partial_zeta_em(sigma, k), 0.0)
     if alternating:
-        [[half, full]] = _partial_zeta_direct(sigma, ((t, (k // 2, k)),))
-        return _alternating(sigma, t, half, full)
-    [[z]] = _partial_zeta_direct(sigma, ((t, (k,)),))
-    return z
+        [z] = _partial_zeta_direct(sigma, (t,), (k // 2, k))
+        return _alternating(sigma, t, z[k // 2], z[k])
+    [z] = _partial_zeta_direct(sigma, (t,), (k,))
+    return z[k]
 
 
 def harmonic_partial_sum(k: int) -> float:
@@ -389,8 +383,7 @@ def harmonic_asymptotic(k: int, gamma: float, n_terms: int) -> float:
     ``0 <= n_terms <= 8`` (0 keeps only 1/(2k)).  ``gamma`` must be finite.
     """
     k = _check_positive_int(k, "k")
-    if not math.isfinite(gamma):
-        raise DomainError("gamma must be finite")
+    gamma = _check_real(gamma, "gamma")
     n_terms = _check_positive_int(n_terms, "n_terms", minimum=0)
     if n_terms > len(_EM_COEFFS):
         raise DomainError(f"n_terms must be <= {len(_EM_COEFFS)}")
@@ -504,13 +497,6 @@ def _offdiag(z: complex, diag: complex) -> float:
     return z.real * z.real + z.imag * z.imag - diag.real
 
 
-def _gamma_params(t_q: float, k: int) -> SeriesParams:
-    k = _check_positive_int(k, "k", minimum=2)
-    if not (t_q > 0.0):
-        raise DomainError("t_q must be positive")
-    return SeriesParams(0.5, t_q, k)
-
-
 def gamma_type1(t_q: float, k: int, q: int | None = None) -> GammaEstimate:
     """Euler-Mascheroni estimate from the alternating series at a zero.
 
@@ -536,29 +522,26 @@ def _gamma_pairs(ks: Sequence[int], zeros: Sequence[tuple[float, int | None]]
                  ) -> list[tuple[GammaEstimate, GammaEstimate]]:
     # (gamma_type1(t_q, k, q), gamma_type2(t_q, k, q)) at every k in ks for
     # each (t_q, q) in zeros, k by k, from two traversals of n = 1..max(ks):
-    # one of the diagonal H, to k and k-1, and one of every zero's trig
-    # columns, with log n and n^-1/2 evaluated once per n.  Each column is
-    # reduced once for all its prefix ends: per k, a zero's k//2 and k (its
-    # alternating sum) and k-1 (its plain sum).  No zeros, no sum.
-    rows = [[(_gamma_params(t_q, k), q) for t_q, q in zeros] for k in ks]
+    # the diagonal H to k-1 and k, and every zero's plain sums to k//2, k-1
+    # and k (k//2 and k make its alternating sum), with log n and n^-1/2
+    # once per n.  Every k and t_q is checked once.  No zeros, no sum.
+    ks = [_check_positive_int(k, "k", minimum=2) for k in ks]
+    ts = [_check_real(t_q, "t_q", positive=True) for t_q, _ in zeros]
     if not zeros:
         return []
-    [diag] = _partial_zeta_direct(
-        1.0, ((0.0, [m for k in ks for m in (k, k - 1)]),))
+    [h] = _partial_zeta_direct(1.0, (0.0,), [m for k in ks for m in (k - 1, k)])
     sums = _partial_zeta_direct(
-        0.5, [(t_q, [m for k in ks for m in (k // 2, k, k - 1)])
-              for t_q, _ in zeros])
+        0.5, ts, [m for k in ks for m in (k // 2, k - 1, k)])
     pairs = []
-    for i, row in enumerate(rows):
-        for (p, q), zero_sums in zip(row, sums):
-            half, full, prev = zero_sums[3 * i:3 * i + 3]
-            alt = _alternating(0.5, p.t, half, full)
-            type1 = -_offdiag(alt, diag[2 * i]) - math.log(p.k)
-            type2 = (p.k / (0.25 + p.t * p.t)
-                     - _offdiag(prev, diag[2 * i + 1]) - math.log(p.k - 1))
+    for k in ks:
+        for t, (_, q), z in zip(ts, zeros, sums):
+            alt = _alternating(0.5, t, z[k // 2], z[k])
+            type1 = -_offdiag(alt, h[k]) - math.log(k)
+            type2 = (k / (0.25 + t * t)
+                     - _offdiag(z[k - 1], h[k - 1]) - math.log(k - 1))
             pairs.append((
-                GammaEstimate(type1, GammaMethod.ALT_TYPE1, q, p.t, p.k),
-                GammaEstimate(type2, GammaMethod.NONALT_TYPE2, q, p.t, p.k)))
+                GammaEstimate(type1, GammaMethod.ALT_TYPE1, q, t, k),
+                GammaEstimate(type2, GammaMethod.NONALT_TYPE2, q, t, k)))
     return pairs
 
 
@@ -579,10 +562,15 @@ def zeta_em(s_sigma: float, s_t: float, k: int,
     Euler-Maclaurin route, taken at k), as a complex value.
     """
     k = _check_positive_int(k, "k", minimum=2)
-    if s_sigma == 1.0 and s_t == 0.0:
+    sigma = _check_real(s_sigma, "s_sigma")
+    t = _check_real(s_t, "s_t")
+    try:
+        order = EulerMaclaurinOrder(order)
+    except ValueError:
+        raise DomainError(f"order must be an EulerMaclaurinOrder, "
+                          f"not {order!r}") from None
+    if sigma == 1.0 and t == 0.0:
         raise DomainError("s = 1 is the pole of zeta")
-    sigma = float(s_sigma)
-    t = float(s_t)
     s = complex(sigma, t)
     z = partial_zeta(sigma, t, k - 1) - k ** (1.0 - s) / (1.0 - s)
     return z + _em_tail(s, k, order)
@@ -599,9 +587,7 @@ def em_rhs(t_q: float, k: int) -> tuple[float, float]:
         sqrt(k)/(1/4 + t^2) * (sin(t log k)/2 - t cos(t log k))
     """
     k = _check_positive_int(k, "k")
-    if not (0.0 < t_q < math.inf):
-        raise DomainError("t_q must be finite and positive")
-    s = complex(0.5, t_q)
+    s = complex(0.5, _check_real(t_q, "t_q", positive=True))
     try:
         z = _as_float(k) ** (1.0 - s) / (1.0 - s)
     except ZeroDivisionError:  # how CPython reports a phase past binary64

@@ -49,15 +49,17 @@ ends there, rounded once: exactly ``math.fsum`` of its terms, since every
 total is exact for any partition of the terms.  The alternating sums and
 the sums cut at ``k - 1`` of ``series`` are built from such prefix ends.
 
-Every sum raises ``DomainError`` on a non-finite term or a total that
-overflows binary64, and returns a finite total even where a partial one
-overflows.  The chunked sums take at most ``MAX_DIRECT_K`` terms; above
+Every sum raises ``DomainError`` on a term that is not a finite real
+number (complex, str and object terms are refused, not cast) or a total
+that overflows binary64, and returns a finite total even where a partial
+one overflows.  The chunked sums take at most ``MAX_DIRECT_K`` terms; above
 that, ``series.partial_zeta`` answers the real diagonal sums by an
 Euler-Maclaurin route that sums only a short head here.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -84,6 +86,20 @@ def _check_positive_int(value: int, name: str, minimum: int = 1) -> int:
     value = int(value)
     if value < minimum:
         raise DomainError(f"{name} must be >= {minimum}")
+    return value
+
+
+def _check_real(value: float, name: str, positive: bool = False) -> float:
+    # value as a float if it is a finite real number but a bool, and > 0 if
+    # positive; anything else, a real past binary64 too, is a DomainError.
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        value = float(value) if real else math.nan
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value) or (positive and value <= 0.0):
+        raise DomainError(f"{name} must be a finite"
+                          f"{' positive' if positive else ''} real number")
     return value
 
 
@@ -142,17 +158,30 @@ def _exact_units(x: np.ndarray, work: np.ndarray) -> int:
     return units
 
 
+def _float_terms(terms: Iterable[float] | np.ndarray) -> np.ndarray:
+    # terms as a flat float64 array; any dtype other than bool, int or
+    # float (complex, str, object) is a DomainError, never cast.
+    x = np.asarray(terms)
+    if x.dtype.kind not in "biuf":
+        raise DomainError(f"summation terms must be real, not {x.dtype}")
+    return np.asarray(x, dtype=np.float64).ravel()
+
+
 def compensated_sum(terms: Iterable[float] | np.ndarray) -> float:
     """Correctly rounded total of ``terms``, exactly ``math.fsum`` of them."""
-    if not isinstance(terms, np.ndarray):
-        terms = [float(x) for x in terms]
-    x = np.asarray(terms, dtype=np.float64).ravel()
+    x = _float_terms(terms if isinstance(terms, np.ndarray) else list(terms))
     return _rounded(_exact_units(x, np.empty((2, x.size))))
 
 
 def _chunk_rows(count: int, k: int) -> np.ndarray:
-    # count rows as long as the longest chunk of a sum to k.
-    return np.empty((count, min(k, DEFAULT_CHUNK)))
+    # count rows as long as the longest chunk of a sum to k, each padded to
+    # a multiple of 8 floats and starting on a 64-byte boundary: AVX-512
+    # loads run slower when a row starts off a cache line.
+    n = min(k, DEFAULT_CHUNK)
+    width = -(-n // 8) * 8
+    buf = np.empty(count * width + 8)
+    start = -buf.ctypes.data % 64 // 8
+    return buf[start:start + count * width].reshape(count, width)[:, :n]
 
 
 def _chunked_sum(block_fn: Callable[[np.ndarray], Iterable[np.ndarray]],
@@ -186,12 +215,16 @@ def _chunked_sum(block_fn: Callable[[np.ndarray], Iterable[np.ndarray]],
     for stop in sorted({k, *(m for item in ends for m in item)}):
         while lo <= stop:
             hi = min(lo + DEFAULT_CHUNK, stop + 1)
+            arrays = block_fn(np.arange(lo, hi, dtype=np.int64))
+            try:
+                arrays = iter(arrays)
+            except TypeError:
+                raise DomainError("callback result is not iterable") from None
             i = -1
-            for i, terms in enumerate(
-                    block_fn(np.arange(lo, hi, dtype=np.int64))):
+            for i, terms in enumerate(arrays):
                 if i == len(ends):
                     break
-                terms = np.asarray(terms, dtype=np.float64).ravel()
+                terms = _float_terms(terms)
                 if terms.size != hi - lo:
                     raise DomainError(f"the callback must give one term per "
                                       f"index, {hi - lo} in this chunk")

@@ -7,20 +7,20 @@ larger lists load from LMFDB-style plain-text files, one zero per line.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 from .errors import CatalogError, CatalogLookupError, CatalogParseError, DomainError
-from .summation import _check_positive_int
+from .summation import _check_positive_int, _check_real
 
 
 @dataclass(frozen=True)
 class ZetaZero:
     """1-based index q and positive imaginary part t of a zero.
 
-    q may be any integer type but bool, and is stored as an int.
+    q may be any integer type but bool, and is stored as an int; t any
+    real type but bool, stored as a float.
     """
 
     q: int
@@ -29,8 +29,8 @@ class ZetaZero:
     def __post_init__(self):
         q = _check_positive_int(self.q, "zero index q")
         object.__setattr__(self, "q", q)
-        if not (0.0 < self.t < math.inf):
-            raise DomainError("zero ordinate t must be finite and positive")
+        t = _check_real(self.t, "zero ordinate t", positive=True)
+        object.__setattr__(self, "t", t)
 
 
 class CatalogSource(Enum):

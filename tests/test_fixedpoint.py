@@ -169,6 +169,7 @@ def test_iterate_preconditions():
 
 @pytest.mark.parametrize("max_iters, tol", [
     (5, math.nan), (5, -1.0), (5, math.inf), (2.5, 1e-12), (True, 1e-12),
+    (5, None), (5, "0"), (5, True),
 ])
 def test_iterate_rejects_bad_tol_and_max_iters(max_iters, tol):
     with pytest.raises(DomainError):
@@ -181,8 +182,14 @@ def test_iterate_rejects_bad_tol_and_max_iters(max_iters, tol):
     lambda: g_of_t(1e308, 100),
     lambda: f_of_t(1e308, 100),
     lambda: iterate_fixed_point(FixedPointMap.G_MAP, math.inf, 100, 5, 1e-12),
+    # Not a real number: refused as the non-finite ones are.
+    lambda: f_of_t("a", 10),
+    lambda: g_of_t(1j, 10),
+    lambda: f_of_t(True, 10),
+    lambda: iterate_fixed_point(FixedPointMap.G_MAP, "a", 10, 2, 0.0),
 ], ids=["f_of_t", "g_of_t", "g_of_t_phase_overflow", "f_of_t_phase_overflow",
-        "iterate_fixed_point"])
+        "iterate_fixed_point", "f_of_t_str", "g_of_t_complex", "f_of_t_bool",
+        "iterate_fixed_point_str"])
 def test_non_finite_ordinate_rejected(call):
     with pytest.raises(DomainError, match="finite"):
         call()

@@ -54,6 +54,10 @@ def test_gamma_estimate_metadata():
     est2 = gamma_type2(T1, 100)
     assert est2.method is GammaMethod.NONALT_TYPE2
     assert est2.q is None
+    # numpy scalars are stored as the Python float and int they hold.
+    est3 = gamma_type1(np.float64(T1), np.int64(100))
+    assert type(est3.t_q) is float and type(est3.k) is int
+    assert est3 == gamma_type1(T1, 100)
 
 
 def test_gamma_preconditions():
@@ -85,7 +89,7 @@ def test_gamma_estimates_bit_identical_to_lone_calls(k, q):
 
 def test_gamma_estimates_validates_like_lone_calls():
     for bad in [(T1, 1), (0.0, 10), (-T1, 10), (math.inf, 10), (T1, 10.0),
-                (T1, True)]:
+                (T1, True), (None, 10), (True, 10), ("14", 10), (1j, 10)]:
         with pytest.raises(DomainError):
             series._gamma_pairs([bad[1]], [(bad[0], None)])
         with pytest.raises(DomainError):

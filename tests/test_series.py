@@ -24,6 +24,7 @@ from zetagamma import (
     SeriesParams,
     builtin_catalog,
     em_rhs,
+    gamma_type1,
     harmonic_asymptotic,
     harmonic_partial_sum,
     offdiag_factorized,
@@ -88,13 +89,34 @@ def test_bool_rejected_where_integer_expected():
     lambda: zeta_em(-400.0, 0.0, 10),
     # t log k past binary64: no ZeroDivisionError from the complex power.
     lambda: em_rhs(1e308, 10),
+    # An argument that is not a finite real number, bools included.
+    lambda: gamma_type1(None, 10),
+    lambda: gamma_type1(True, 10),
+    lambda: em_rhs("a", 10),
+    lambda: zeta_em(0.5, "a", 10),
+    lambda: SeriesParams("a", 1.0, 10),
+    lambda: harmonic_asymptotic(10, 1j, 2),
+    lambda: partial_zeta(0.5, "1", 10),
+    lambda: partial_zeta(None, 1.0, 10),
+    lambda: partial_zeta(0.5, math.inf, 0),
+    lambda: partial_zeta(0.5, 10**400, 10),
+    # An order that is not an EulerMaclaurinOrder member.
+    lambda: zeta_em(2.0, 0.0, 10, 20),
+    lambda: zeta_em(2.0, 0.0, 10, -1),
+    lambda: zeta_em(2.0, 0.0, 10, 7),
+    lambda: zeta_em(2.0, 0.0, 10, "x"),
 ], ids=["em_rhs_inf", "n_terms_float", "n_terms_bool",
         "gamma_nan", "gamma_inf", "gamma_-inf", "n_terms_past_table",
         "harmonic_asymptotic_k_past_binary64", "em_rhs_k_past_binary64",
         "harmonic_k_past_int_str_limit", "stieltjes_tail_past_binary64",
         "stieltjes_terms_past_binary64", "powers_past_binary64",
         "alternating_powers_past_binary64", "zeta_em_powers_past_binary64",
-        "em_rhs_phase_past_binary64"])
+        "em_rhs_phase_past_binary64", "gamma_t_none", "gamma_t_bool",
+        "em_rhs_t_str", "zeta_em_t_str", "series_params_sigma_str",
+        "harmonic_asymptotic_gamma_complex", "partial_zeta_t_str",
+        "partial_zeta_sigma_none", "partial_zeta_t_inf_at_k0",
+        "partial_zeta_t_past_binary64", "zeta_em_order_20",
+        "zeta_em_order_-1", "zeta_em_order_7", "zeta_em_order_str"])
 def test_typed_errors_at_library_edge(call):
     with pytest.raises(DomainError):
         call()
@@ -230,12 +252,13 @@ def test_partial_zeta_alternating_identity():
 
 
 def test_zero_list_traversal_matches_lone_sums_property():
-    # A traversal sums at one sigma the parts of every ordinate: the tables
-    # take each zero's plain sums to k//2, k and k-1 at sigma = 1/2 from
-    # one, and H_k and H_(k-1) from one of their own (t = 0, sigma = 1).
-    # Each must equal a lone partial_zeta bit for bit, for ordinates above
-    # k, t = 0 beside trig parts, repeated ordinates and ends, ends at 0
-    # and k at chunk edges.
+    # A traversal sums at one sigma every ordinate's columns to one list of
+    # prefix ends: the tables take each zero's plain sums to k//2, k-1 and
+    # k at sigma = 1/2 from one, and H_(k-1) and H_k from one of their own
+    # (t = 0, sigma = 1).  Each ordinate's dict holds one sum per distinct
+    # end, and each must equal a lone partial_zeta bit for bit, for
+    # ordinates above k, t = 0 beside trig ordinates, repeated ordinates
+    # and ends, ends at 0 and k at chunk edges.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     ordinate = st.one_of(st.floats(0.1, 300.0), st.floats(7.4e4, 7.6e4),
@@ -249,14 +272,15 @@ def test_zero_list_traversal_matches_lone_sums_property():
                                                    8193, 16384, 16385)),
                                   min_size=1, max_size=2))
     def check(sigma, ts, ks):
-        parts = [(t, [m for k in ks for m in (k // 2, k, k - 1, 0, k)])
-                 for t in ts + ts[:1]]
-        sums = series_module._partial_zeta_direct(sigma, parts)
-        assert [len(z) for z in sums] == [len(ends) for _, ends in parts]
-        for (t, ends), zs in zip(parts, sums):
-            for m, z in zip(ends, zs):
+        ts = ts + ts[:1]
+        ends = [m for k in ks for m in (k // 2, k, k - 1, 0, k)]
+        sums = series_module._partial_zeta_direct(sigma, ts, ends)
+        assert len(sums) == len(ts)
+        for t, z in zip(ts, sums):
+            assert set(z) == set(ends)
+            for m in ends:
                 lone = partial_zeta(sigma, t, m)
-                assert (z.real.hex(), z.imag.hex()) == \
+                assert (z[m].real.hex(), z[m].imag.hex()) == \
                     (lone.real.hex(), lone.imag.hex()), (sigma, t, m)
 
     check()

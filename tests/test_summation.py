@@ -43,6 +43,21 @@ def test_cancellation_preserved_ndarray():
     assert compensated_sum(np.array([1.0, 1e-16, -1.0])) == 1e-16
 
 
+@pytest.mark.parametrize("terms", [
+    np.array([1 + 1j, 2]), np.array(["1", "2"]), ["a"], [1j], [None],
+    [Fraction(1, 3)], [10**400]],
+    ids=["complex", "str_array", "str", "complex_list", "none", "fraction",
+         "int_past_binary64"])
+def test_compensated_sum_refuses_terms_that_are_not_real(terms):
+    # Not summed as the real part, parsed or cast: every term must be a
+    # bool, int or float, as an array of those dtypes or a list numpy
+    # reads as one.
+    with pytest.raises(DomainError, match="must be real"):
+        compensated_sum(terms)
+    assert compensated_sum(np.array([True, 2, 3])) == 6.0
+    assert compensated_sum(iter([1, 0.5, np.float32(0.25)])) == 1.75
+
+
 def test_empty_sum_is_zero():
     assert compensated_sum([]) == 0.0
     assert compensated_sum(np.array([], dtype=np.float64)) == 0.0
@@ -664,18 +679,45 @@ def test_callback_must_give_one_array_per_entry_of_ends(ends):
         chunked_parallel_pair_sum(columns, 40_000, ends)
 
 
-@pytest.mark.parametrize("terms", [
-    lambda idx: 1.0, lambda idx: np.ones(3),
-    lambda idx: np.ones((idx.size, 2))], ids=["scalar", "short", "two_wide"])
-def test_callback_must_give_one_term_per_index(terms):
-    # A scalar or an array of another size is refused, not summed as it
-    # is; one term per index of a one-index chunk is accepted.
-    with pytest.raises(DomainError, match="one term per index"):
+@pytest.mark.parametrize("terms, match", [
+    (lambda idx: 1.0, "one term per index"),
+    (lambda idx: np.ones(3), "one term per index"),
+    (lambda idx: np.ones((idx.size, 2)), "one term per index"),
+    (lambda idx: idx * 1j + 1.0, "must be real"),
+    (lambda idx: None, "must be real"),
+    (lambda idx: idx.astype(str), "must be real"),
+], ids=["scalar", "short", "two_wide", "complex", "none", "str"])
+def test_callback_must_give_one_term_per_index(terms, match):
+    # A scalar, an array of another size, or terms that are not real
+    # numbers are refused, not summed as they are (complex terms not as
+    # their real part, strings not parsed); one term per index of a
+    # one-index chunk is accepted, and so are integer terms.
+    with pytest.raises(DomainError, match=match):
         chunked_parallel_sum(terms, 10)
-    with pytest.raises(DomainError, match="one term per index"):
+    with pytest.raises(DomainError, match=match):
         chunked_parallel_pair_sum(lambda idx: (1.0 / idx, terms(idx)), 10,
                                   ((10,), (10,)))
     assert chunked_parallel_sum(lambda idx: 1.0, 1) == 1.0
+    assert chunked_parallel_sum(lambda idx: idx, 10) == 55.0
+
+
+@pytest.mark.parametrize("result", [None, 1, 1.0])
+def test_callback_must_give_an_iterable_of_arrays(result):
+    # A result that iter() refuses is a DomainError; an exception raised
+    # inside the callback, a generator's too, propagates as it is.
+    with pytest.raises(DomainError, match="not iterable"):
+        chunked_parallel_pair_sum(lambda idx: result, 10, ((10,),))
+
+    def fails(idx):
+        raise TypeError("inside the callback")
+
+    def fails_later(idx):
+        yield 1.0 / idx
+        raise TypeError("inside the callback")
+
+    for callback in (fails, fails_later):
+        with pytest.raises(TypeError, match="inside the callback"):
+            chunked_parallel_pair_sum(callback, 10, ((10,), (10,)))
 
 
 @pytest.mark.parametrize("alternating", [False, True])
@@ -708,6 +750,18 @@ def test_partial_zeta_pair_sum_matches_per_chunk_reference(alternating):
 
 
 # ----------------- chunk length: speed only, bounded memory -----------------
+
+@pytest.mark.parametrize("chunk", [3, DEFAULT_CHUNK])
+@pytest.mark.parametrize("count", [2, 5])
+@pytest.mark.parametrize("k", [1, 7, 10, 16383, 16384, 10**6])
+def test_work_rows_start_on_cache_lines(k, count, chunk, monkeypatch):
+    # Every row of a work block, the traversal's and the extraction's,
+    # starts on a 64-byte boundary, and is as long as the longest chunk.
+    monkeypatch.setattr(summation, "DEFAULT_CHUNK", chunk)
+    rows = summation._chunk_rows(count, k)
+    assert rows.shape == (count, min(k, chunk)) and rows.dtype == np.float64
+    assert [row.ctypes.data % 64 for row in rows] == [0] * count
+
 
 def _zeros(count):
     catalog = builtin_catalog()

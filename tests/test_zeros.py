@@ -106,6 +106,19 @@ def test_load_unreadable_file_is_catalog_error(tmp_path, make):
         load_catalog(path)
 
 
+@pytest.mark.parametrize("t", [1j, "14.1", None, True, 10**400],
+                         ids=["complex", "str", "none", "bool", "past_binary64"])
+def test_zero_ordinate_must_be_a_real_number(t):
+    with pytest.raises(DomainError, match="finite"):
+        ZetaZero(1, t)
+
+
+@pytest.mark.parametrize("t", [25, np.float64(25.0), np.int32(25)])
+def test_zero_ordinate_is_stored_as_a_float(t):
+    zero = ZetaZero(3, t)
+    assert zero.t == 25.0 and type(zero.t) is float
+
+
 def test_load_non_finite_ordinate_rejected(tmp_path):
     with pytest.raises(DomainError, match="finite"):
         ZetaZero(1, float("inf"))

@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .errors import ConsistencyError
 from .series import SeriesParams, offdiag_factorized, offdiag_naive
+from .summation import _check_positive_int
 
 #: Reports with a larger naive/factorized discrepancy abort the run.
 MAX_ALLOWED_DIFF = 1e-10
@@ -54,12 +55,14 @@ def bench_offdiag(t: float, k_list: Sequence[int]) -> list[BenchReport]:
 
     Uses the alternating variant (the production gamma route), timed
     ``REPEATS`` times per route and k.  Each k in ``k_list`` must respect
-    the brute-force cap.  Raises ``ConsistencyError`` if any discrepancy
-    exceeds ``MAX_ALLOWED_DIFF``.
+    the brute-force cap and be an integer: a float or a bool is a
+    ``DomainError``, raised before any timing.  Raises
+    ``ConsistencyError`` if any discrepancy exceeds ``MAX_ALLOWED_DIFF``.
     """
+    ks = [_check_positive_int(k, "k") for k in k_list]
     reports = []
-    for k in k_list:
-        params = SeriesParams(0.5, t, int(k))
+    for k in ks:
+        params = SeriesParams(0.5, t, k)
         naive_s, naive_v = _median_time(
             lambda: offdiag_naive(params, alternating=True))
         fact_s, fact_v = _median_time(
@@ -69,6 +72,6 @@ def bench_offdiag(t: float, k_list: Sequence[int]) -> list[BenchReport]:
             raise ConsistencyError(
                 f"naive and factorized off-diagonal sums disagree by {diff:.3e} "
                 f"at k={k}, t={t!r} (limit {MAX_ALLOWED_DIFF:.1e})")
-        reports.append(BenchReport(k=int(k), t=t, naive_seconds=naive_s,
+        reports.append(BenchReport(k=k, t=t, naive_seconds=naive_s,
                                    factorized_seconds=fact_s, max_abs_diff=diff))
     return reports

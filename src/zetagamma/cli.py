@@ -42,8 +42,8 @@ EXIT_SINGULAR = 5
 _ERROR_EXIT = ((CatalogError, EXIT_CATALOG), (DomainError, EXIT_DOMAIN),
                (SingularGuardError, EXIT_SINGULAR), (ZetaGammaError, 1))
 
-#: From this k on, one g-map step takes most of a second (0.40-0.46 s at
-#: 3e7, 0.62-0.69 s at 4e7 and 0.81-0.90 s at 6e7 on 2 vCPUs).
+#: From this k on, one g-map step takes half a second or more (0.34-0.37 s
+#: at 3e7, 0.46-0.48 s at 4e7 and 0.68-0.70 s at 6e7 on 2 vCPUs).
 RUNTIME_WARN_K = 40_000_000
 
 

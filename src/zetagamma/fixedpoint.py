@@ -28,6 +28,11 @@ from .summation import _check_positive_int, _check_real
 #: sec factors amplify roundoff without bound near their poles.
 SINGULARITY_EPS = 1e-8
 
+#: Largest ``max_iters`` a run accepts, read on every call.  Each step is a
+#: full traversal of n = 1..k and keeps its iterate, so this bounds a run's
+#: time and memory whatever count is asked for.
+MAX_ITERS = 10_000
+
 
 class FixedPointMap(Enum):
     F_MAP = "f"
@@ -146,11 +151,15 @@ def iterate_fixed_point(map: FixedPointMap, y0: float, k: int,
     ``max_iters`` steps, DIVERGED when an iterate becomes non-finite or
     leaves (0, 10*y0), and SINGULAR_GUARD when a guard trips.  Failure
     modes are statuses, not exceptions: most start points do not converge.
+    A ``max_iters`` above the module's ``MAX_ITERS`` is a ``DomainError``,
+    raised before any sum.
     """
     if not isinstance(map, FixedPointMap):
         raise DomainError(f"map must be a FixedPointMap, not {map!r}")
     y0 = _check_real(y0, "y0", positive=True)
     max_iters = _check_positive_int(max_iters, "max_iters")
+    if max_iters > MAX_ITERS:
+        raise DomainError(f"max_iters={max_iters} exceeds the cap {MAX_ITERS}")
     tol = _check_real(tol, "tol")
     if tol < 0.0:
         raise DomainError("tol must be finite and >= 0")

@@ -2,9 +2,10 @@
 
 from dataclasses import astuple
 
+import numpy as np
 import pytest
 
-from zetagamma import OracleCapError, bench, bench_offdiag
+from zetagamma import DomainError, OracleCapError, bench, bench_offdiag
 from zetagamma.bench import CSV_HEADER
 
 T1 = 14.1347251417347
@@ -34,3 +35,17 @@ def test_factorized_beats_naive_at_10k():
 def test_cap_violation():
     with pytest.raises(OracleCapError):
         bench_offdiag(T1, [100_000])
+
+
+@pytest.mark.parametrize("bad", [10.7, 10.0, True])
+def test_k_must_be_an_integer(bad, monkeypatch):
+    # A float k is refused, not truncated, and a bool is not k = 1; the
+    # whole list is checked before any route is timed.
+    timed = []
+    monkeypatch.setattr(bench, "_median_time",
+                        lambda fn: timed.append(fn) or (0.0, fn()))
+    with pytest.raises(DomainError, match="k must be an integer"):
+        bench_offdiag(T1, [10, bad])
+    assert timed == []
+    (rep,) = bench_offdiag(T1, [np.int64(10)])
+    assert rep.k == 10 and type(rep.k) is int

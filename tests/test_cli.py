@@ -176,6 +176,17 @@ def test_zero_iterate_bad_tol_exits_3(capsys, tol):
     assert "tol" in err
 
 
+def test_zero_iterate_refuses_an_iteration_count_past_the_cap(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "zero-iterate", "--map", "g",
+                             "--y0", "14.2", "--k", "1000", "--iters",
+                             "1000000000000000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "max_iters" in err
+
+
 def test_zeros_file_non_finite_ordinate_exits_2(capsys, tmp_path):
     path = tmp_path / "zeros.txt"
     path.write_text("14.1\ninf\n")

@@ -6,7 +6,7 @@ from dataclasses import asdict
 
 import pytest
 
-from zetagamma import series
+from zetagamma import fixedpoint, series
 from zetagamma import (
     DomainError,
     FixedPointMap,
@@ -174,6 +174,34 @@ def test_iterate_preconditions():
 def test_iterate_rejects_bad_tol_and_max_iters(max_iters, tol):
     with pytest.raises(DomainError):
         iterate_fixed_point(FixedPointMap.G_MAP, 14.2, 1000, max_iters, tol)
+
+
+@pytest.mark.parametrize("map_", list(FixedPointMap))
+def test_iterate_refuses_max_iters_above_the_cap_before_any_sum(
+        map_, monkeypatch):
+    # A run's time and memory grow with its step count, so a count past
+    # MAX_ITERS is refused at once, not run until killed.  The cap covers
+    # the README's 1000-step run.
+    assert fixedpoint.MAX_ITERS >= 1000
+    sums = []
+    monkeypatch.setattr(fixedpoint, "partial_zeta",
+                        lambda *args: sums.append(args))
+    monkeypatch.setattr(fixedpoint, "_partial_zeta_direct",
+                        lambda *args, **kw: sums.append(args))
+    start = time.perf_counter()
+    for count in (10**18, fixedpoint.MAX_ITERS + 1):
+        with pytest.raises(DomainError, match="max_iters"):
+            iterate_fixed_point(map_, 14.2, 10**6, count, 0.0)
+    assert time.perf_counter() - start < 1.0
+    assert sums == []
+
+
+def test_iterate_reads_the_cap_at_call_time(monkeypatch):
+    monkeypatch.setattr(fixedpoint, "MAX_ITERS", 2)
+    with pytest.raises(DomainError, match="cap 2"):
+        iterate_fixed_point(FixedPointMap.G_MAP, 14.2, 1000, 3, 0.0)
+    trace = iterate_fixed_point(FixedPointMap.G_MAP, 14.2, 1000, 2, 0.0)
+    assert len(trace.iterates) == 3
 
 
 @pytest.mark.parametrize("call", [

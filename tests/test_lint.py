@@ -1,7 +1,7 @@
 """Static checks on the package sources: no dead imports, no dead private code,
 no default that no call overrides, numpy cos/sin only in the brute-force
-oracle, the half-angle kernel only in the shared traversal, and one rounding
-step for every sum."""
+oracle, the half-angle kernel only in the shared traversal, one rounding
+step for every sum, and float sums in summation only where they are exact."""
 
 import ast
 from pathlib import Path
@@ -319,3 +319,47 @@ def test_rounding_check_flags_fsum_and_fractions():
     tree = ast.parse(source)
     assert _second_rounding_steps("summation.py", tree) == [2, 3, 4, 6]
     assert _second_rounding_steps("series.py", tree) == [4, 6]
+
+
+#: numpy's float summing reductions: each rounds unless its terms are known
+#: to add up exactly.
+FLOAT_SUMS = ("sum", "nansum", "cumsum")
+
+
+def _float_sums_outside_extraction(tree: ast.Module) -> list[int]:
+    # Lines that reach a numpy float sum (an array's .sum(), np.sum or a
+    # name imported from numpy) outside summation._exact_units.  There the
+    # extraction lemma and the exponent-spread bound prove every such sum
+    # exact; anywhere else a float sum would round before the one int
+    # division.  The builtin sum of ints is exact and not flagged.
+    allowed = {id(node)
+               for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and fn.name == "_exact_units"
+               for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr in FLOAT_SUMS:
+            found.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "numpy"
+              and any(alias.name in FLOAT_SUMS for alias in node.names)):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_float_sums_in_summation_only_inside_the_extraction():
+    lines = _float_sums_outside_extraction(TREES["summation.py"])
+    assert not lines, f"summation.py: float sum outside _exact_units at {lines}"
+
+
+def test_float_sum_check_flags_sums_outside_the_extraction():
+    source = (
+        "import numpy as np\n"
+        "from numpy import sum as npsum\n"
+        "def _exact_units(x, work):\n"
+        "    return int(x.sum()) + int(np.sum(x)) + sum([1, 2])\n"
+        "def _chunked_sum(x):\n"
+        "    total = x.sum() + np.sum(x)\n"
+        "    return total + np.cumsum(x)[-1] + sum(map(int, x))\n")
+    assert _float_sums_outside_extraction(ast.parse(source)) == [2, 6, 6, 7]

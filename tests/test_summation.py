@@ -58,6 +58,19 @@ def test_compensated_sum_refuses_terms_that_are_not_real(terms):
     assert compensated_sum(iter([1, 0.5, np.float32(0.25)])) == 1.75
 
 
+@pytest.mark.parametrize("terms", [
+    [[1.0], [1.0, 2.0]], [1.0, [2.0, 3.0]], [np.ones(2), np.ones(3)]],
+    ids=["ragged", "scalar_and_list", "ragged_arrays"])
+def test_compensated_sum_refuses_ragged_terms(terms):
+    # numpy cannot make one array of these; a rectangular nesting is summed
+    # whole.
+    with pytest.raises(DomainError, match="rectangular"):
+        compensated_sum(terms)
+    with pytest.raises(DomainError, match="rectangular"):
+        chunked_parallel_sum(lambda n: terms, 2)
+    assert compensated_sum([[1.0, 2.0], [3.0, 4.0]]) == 10.0
+
+
 def test_empty_sum_is_zero():
     assert compensated_sum([]) == 0.0
     assert compensated_sum(np.array([], dtype=np.float64)) == 0.0
@@ -572,6 +585,177 @@ def test_prefix_end_totals_bit_identical_property():
         assert [g.hex() for g in got] == [e.hex() for e in expected]
 
     check()
+
+
+# ------------- the finishing sum: exact once the spread allows --------------
+
+def test_exact_sums_match_fraction_totals_property():
+    # Terms within a window of binades around a random scale, so that many
+    # chunks pass the spread bound and end with the plain numpy sum, mixed
+    # with zeros and subnormals, which must not break it.  compensated_sum
+    # sums them as one chunk, chunked_parallel_sum in chunks of 1..64.  The
+    # one-chunk int is checked unit for unit too: the rounded totals alone
+    # would hide an error of a few units.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    term = st.one_of(
+        st.tuples(st.integers(-2**53 + 1, 2**53 - 1), st.integers(0, 30)),
+        st.sampled_from(((0, 0), (1, -60), (-3, -70))))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(scale=st.integers(-1140, 940),
+                      terms=st.lists(term, min_size=1, max_size=300),
+                      chunk=st.integers(1, 64))
+    def check(scale, terms, chunk):
+        values = [math.ldexp(mant, scale + shift) for mant, shift in terms]
+        exact = sum(map(Fraction, values))
+        x = np.array(values)
+        assert summation._exact_units(x, np.empty((2, x.size))) == \
+            exact * 2 ** 1074
+        try:
+            expected = float(exact)
+        except OverflowError:
+            expected = None
+        with mock.patch.object(summation, "DEFAULT_CHUNK", chunk):
+            if expected is None:
+                with pytest.raises(DomainError):
+                    compensated_sum(values)
+                with pytest.raises(DomainError):
+                    chunked_parallel_sum(lambda idx: x[idx - 1], len(x))
+                return
+            got = chunked_parallel_sum(lambda idx: x[idx - 1], len(x))
+        assert compensated_sum(values).hex() == expected.hex()
+        assert got.hex() == expected.hex()
+
+    check()
+
+
+class _SigmaSpy:
+    # Stands in for the math module in summation and records every power of
+    # two that _exact_units builds: one sigma per extraction pass.
+    def __init__(self):
+        self.sigmas = []
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def ldexp(self, x, i):
+        self.sigmas.append(math.ldexp(x, i))
+        return self.sigmas[-1]
+
+
+def _sigmas_of_one_chunk(x, monkeypatch):
+    # The sigmas of compensated_sum(x), which reduces x as one chunk, and
+    # its total.
+    spy = _SigmaSpy()
+    with monkeypatch.context() as patch:
+        patch.setattr(summation, "math", spy)
+        total = compensated_sum(x)
+    return spy.sigmas, total
+
+
+def _spread_terms(rng, n, spread, top, signs, zeros):
+    # n terms with binary exponents in top - spread .. top, both ends taken:
+    # |x| = 0.75 * 2^top and 2^(top - spread - 1) exactly, the others drawn
+    # with mantissas in [0.5, 0.99) so that no rounding moves an exponent.
+    e = rng.integers(top - spread, top + 1, n)
+    x = np.ldexp(rng.uniform(0.5, 0.99, n), e)
+    x[0] = math.ldexp(0.75, top)
+    x[-1] = math.ldexp(0.5, top - spread)
+    if signs:
+        x *= np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    if zeros:
+        x[rng.integers(1, n - 1, 3)] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("n", [16383, 16384, 16385])
+@pytest.mark.parametrize("top, signs, zeros", [
+    (3, False, False), (3, True, False), (3, True, True),
+    # Every term subnormal, below 2^-1022.
+    (-1022, True, False)], ids=["plus", "mixed", "zeros", "subnormal"])
+@pytest.mark.parametrize("over", [0, 1])
+def test_finishing_sum_at_the_spread_bound(n, top, signs, zeros, over,
+                                           monkeypatch):
+    # n < 2^M terms whose exponents span exactly 53 - 2M binades take one
+    # pass and the finishing sum; one binade more takes a second pass (M
+    # steps from 14 to 15 between 16383 and 16384 terms).  A zero term
+    # turns the finishing sum off, and the passes alone empty the chunk.
+    # Every total is the exact one, rounded once.
+    spread = 53 - 2 * n.bit_length() + over
+    x = _spread_terms(np.random.default_rng(n + over), n, spread, top,
+                      signs, zeros)
+    sigmas, total = _sigmas_of_one_chunk(x, monkeypatch)
+    assert total.hex() == math.fsum(x.tolist()).hex()
+    if zeros:
+        assert len(sigmas) >= 2
+    else:
+        assert len(sigmas) == 1 + over
+    _assert_bit_identical(x, chunk=n)
+
+
+def _tight_remainders(rng, extra):
+    # 2^15 - 1 terms, so M = 15 and sigma = 2^15 for the largest, 0.75.
+    # The others lie in [2^(-24 - extra), 2^(-23 - extra)), a spread of
+    # 23 + extra binades, and each leaves a positive remainder just below
+    # 2^-38, the most a pass allows, in units of 2^(-76 - extra).  Their
+    # sums come within a factor two of 2^(53 + extra) such units, so from
+    # extra = 1 on a finishing sum would round about half the time.
+    n = 2 ** 15 - 1
+    low = -23 - extra
+    x = np.empty(n)
+    x[0] = 0.75
+    x[1:] = np.ldexp(rng.integers(2 ** (low + 36), 2 ** (low + 37), n - 1)
+                     .astype(np.float64), -37)
+    x[1:] += np.ldexp(rng.integers(2 ** (37 + extra), 2 ** (38 + extra),
+                                   n - 1).astype(np.float64), low - 53)
+    return x
+
+
+@pytest.mark.parametrize("extra", [0, 1, 2])
+def test_finishing_sum_bound_is_tight(extra, monkeypatch):
+    # The chunk's exact int, checked unit for unit (a rounded total would
+    # hide an error of a few units): at the bound the finishing sum is
+    # exact, and one binade past it a second pass runs.  Eight draws: any
+    # looser bound gets some of them wrong.
+    for seed in range(8):
+        x = _tight_remainders(np.random.default_rng(seed), extra)
+        assert [math.frexp(v)[1] for v in (x.max(), x.min())] == \
+            [0, -23 - extra]
+        # x scaled by 2^(76 + extra) is whole: its exact total as an int.
+        scale = 76 + extra
+        exact = sum(map(int, np.ldexp(x, scale).tolist())) << (1074 - scale)
+        spy = _SigmaSpy()
+        with monkeypatch.context() as patch:
+            patch.setattr(summation, "math", spy)
+            assert summation._exact_units(x, np.empty((2, x.size))) == exact
+        assert len(spy.sigmas) == (1 if extra == 0 else 2)
+
+
+@pytest.mark.parametrize("value", [1.0, -0.1, 5e-324, -2.5e-310, 0.0,
+                                   sys.float_info.max / 4])
+def test_one_term_chunk_is_its_own_total(value, monkeypatch):
+    # A lone term has no spread: one pass, or none for a zero, and the
+    # finishing sum gives back the term itself.
+    sigmas, total = _sigmas_of_one_chunk([value], monkeypatch)
+    assert total == value
+    assert len(sigmas) == (value != 0.0)
+    _assert_bit_identical(np.array([value]), chunk=1)
+
+
+def test_package_terms_take_one_pass_per_chunk(monkeypatch):
+    # A 16384-term chunk of the cosine terms cos(t log n)/sqrt(n) and one of
+    # 1/n: exponent spreads of 16 and 14 binades, within the bound of 23,
+    # so each is one pass and the finishing sum, where two passes were
+    # needed before.
+    n = np.arange(16385, 32769, dtype=np.float64)
+    t = 14.1347251417347
+    for x in (np.cos(t * np.log(n)) / np.sqrt(n), 1.0 / (n - 16384.0)):
+        assert x.size == DEFAULT_CHUNK
+        sigmas, total = _sigmas_of_one_chunk(x, monkeypatch)
+        assert len(sigmas) == 1
+        assert total.hex() == math.fsum(x.tolist()).hex()
 
 
 def test_chunked_sums_leave_the_callback_arrays_as_they_are():

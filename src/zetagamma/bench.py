@@ -12,7 +12,8 @@ import time
 from dataclasses import dataclass, fields
 from typing import Sequence
 
-from .errors import ConsistencyError
+from . import series
+from .errors import ConsistencyError, OracleCapError
 from .series import SeriesParams, offdiag_factorized, offdiag_naive
 from .summation import _check_positive_int
 
@@ -54,12 +55,17 @@ def bench_offdiag(t: float, k_list: Sequence[int]) -> list[BenchReport]:
     """Time both off-diagonal routes on identical inputs.
 
     Uses the alternating variant (the production gamma route), timed
-    ``REPEATS`` times per route and k.  Each k in ``k_list`` must respect
-    the brute-force cap and be an integer: a float or a bool is a
-    ``DomainError``, raised before any timing.  Raises
+    ``REPEATS`` times per route and k.  Each k in ``k_list`` must be an
+    integer (a float or a bool is a ``DomainError``) and at most
+    ``series.ORACLE_CAP``, read at call time (``OracleCapError``); the
+    whole list is checked before any timing.  Raises
     ``ConsistencyError`` if any discrepancy exceeds ``MAX_ALLOWED_DIFF``.
     """
     ks = [_check_positive_int(k, "k") for k in k_list]
+    cap = series.ORACLE_CAP
+    for k in ks:
+        if k > cap:
+            raise OracleCapError(f"k={k} exceeds the brute-force cap {cap}")
     reports = []
     for k in ks:
         params = SeriesParams(0.5, t, k)

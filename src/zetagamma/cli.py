@@ -6,9 +6,11 @@ sums run on one thread, and results never depend on N.  Exit codes:
 0 ok, 1 other failure (an unwritable --out file, or bench routes that
 disagree), 2 catalog miss, unreadable --zeros-file or bad arguments (an
 empty --q/--k list among them), 3 domain or cap error, 4 diverged
-iteration, 5 singular guard.  A table row whose f map leaves its domain
-is printed with empty value cells and one ``warning:`` line on stderr; the
-table still exits 0.
+iteration, 5 singular guard.  A zero-iterate run that converges, reaches
+--iters or closes an exact cycle (an iterate equal to an earlier one bit
+for bit; its ``period`` is on the status line and in --json) exits 0.  A
+table row whose f map leaves its domain is printed with empty value cells
+and one ``warning:`` line on stderr; the table still exits 0.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ EXIT_SINGULAR = 5
 _ERROR_EXIT = ((CatalogError, EXIT_CATALOG), (DomainError, EXIT_DOMAIN),
                (SingularGuardError, EXIT_SINGULAR), (ZetaGammaError, 1))
 
-#: From this k on, one g-map step takes half a second or more (0.34-0.37 s
-#: at 3e7, 0.46-0.48 s at 4e7 and 0.68-0.70 s at 6e7 on 2 vCPUs).
+#: From this k on, one g-map step takes 0.4 s or more (0.29-0.30 s at 3e7,
+#: 0.40-0.43 s at 4e7 and 0.58-0.67 s at 6e7 on 2 vCPUs).
 RUNTIME_WARN_K = 40_000_000
 
 
@@ -102,6 +104,7 @@ def _cmd_gamma(args) -> int:
 _STATUS_EXIT = {
     FixedPointStatus.CONVERGED: EXIT_OK,
     FixedPointStatus.MAX_ITERS: EXIT_OK,
+    FixedPointStatus.CYCLE: EXIT_OK,
     FixedPointStatus.DIVERGED: EXIT_DIVERGED,
     FixedPointStatus.SINGULAR_GUARD: EXIT_SINGULAR,
 }
@@ -117,8 +120,10 @@ def _cmd_zero_iterate(args) -> int:
         _print_json(trace)
     else:
         _write_csv(sys.stdout, ("iteration", "value"), enumerate(trace.iterates))
+        period = "" if trace.period is None else f", period={trace.period}"
         print(f"status: {trace.status.value} "
-              f"(final_residual={_fmt(trace.final_residual)})", file=sys.stderr)
+              f"(final_residual={_fmt(trace.final_residual)}{period})",
+              file=sys.stderr)
     return _STATUS_EXIT[trace.status]
 
 

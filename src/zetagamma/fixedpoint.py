@@ -44,6 +44,7 @@ class FixedPointStatus(Enum):
     MAX_ITERS = "max_iters"
     DIVERGED = "diverged"
     SINGULAR_GUARD = "singular_guard"
+    CYCLE = "cycle"
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,9 @@ class FixedPointTrace:
     """Ordered iterates of a fixed-point run plus its termination status.
 
     ``iterates[0]`` is the starting value.  ``final_residual`` is the last
-    step size |y_i - y_{i-1}| (None when no step completed).
+    step size |y_i - y_{i-1}| (None when no step completed).  ``period``
+    is the length of the cycle a CYCLE run closed (the last iterate equals
+    the one ``period`` steps before it bit for bit), else None.
     """
 
     map: FixedPointMap
@@ -60,6 +63,7 @@ class FixedPointTrace:
     status: FixedPointStatus
     final_residual: float | None
     iterates: tuple[float, ...]
+    period: int | None = None
 
     def __post_init__(self):
         if not self.iterates:
@@ -149,8 +153,11 @@ def iterate_fixed_point(map: FixedPointMap, y0: float, k: int,
 
     Stops with CONVERGED when a step is <= tol, MAX_ITERS after
     ``max_iters`` steps, DIVERGED when an iterate becomes non-finite or
-    leaves (0, 10*y0), and SINGULAR_GUARD when a guard trips.  Failure
-    modes are statuses, not exceptions: most start points do not converge.
+    leaves (0, 10*y0), SINGULAR_GUARD when a guard trips, and CYCLE when
+    an iterate equals an earlier one bit for bit: the map is deterministic,
+    so every later step would repeat the cycle, whose length the trace
+    records as ``period``.  Failure modes are statuses, not exceptions:
+    most start points do not converge.
     A ``max_iters`` above the module's ``MAX_ITERS`` is a ``DomainError``,
     raised before any sum.
     """
@@ -164,8 +171,10 @@ def iterate_fixed_point(map: FixedPointMap, y0: float, k: int,
     if tol < 0.0:
         raise DomainError("tol must be finite and >= 0")
     iterates = [y0]
+    seen = {y0: 0}  # each iterate's first step, to close a cycle
     status = FixedPointStatus.MAX_ITERS
     residual: float | None = None
+    period: int | None = None
     upper = 10.0 * y0
     if map is FixedPointMap.F_MAP:
         # k is fixed for the run, so the f map's diagonal H_k is summed once.
@@ -191,5 +200,11 @@ def iterate_fixed_point(map: FixedPointMap, y0: float, k: int,
         if residual <= tol:
             status = FixedPointStatus.CONVERGED
             break
+        if y in seen:
+            status = FixedPointStatus.CYCLE
+            period = len(iterates) - 1 - seen[y]
+            break
+        seen[y] = len(iterates) - 1
     return FixedPointTrace(map=map, k=int(k), tol=tol, status=status,
-                           final_residual=residual, iterates=tuple(iterates))
+                           final_residual=residual, iterates=tuple(iterates),
+                           period=period)

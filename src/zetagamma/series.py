@@ -10,18 +10,23 @@ Euler-Maclaurin route: a short head (15 terms for ``H_k``) is summed
 directly and the rest is the integral plus Bernoulli corrections, in
 O(1) time.
 
-Every Dirichlet term's trig factors come from one kernel, ``_cos_msin``,
-called only by the traversal ``_partial_zeta_direct``: with
-``u = tan(x/2)`` at ``x = t log n``, ``cos x = (1 - u^2)/(1 + u^2)`` and
-``-sin x = -2u/(1 + u^2)``.  A traversal that needs only real parts (the
-g map's) runs its cosine half, ``_half_angle``, alone.  numpy evaluates
-float64 ``tan`` with SIMD instructions where its ``cos`` and ``sin`` take
-the scalar libm path, so one tangent costs about a third of the pair.
-Against cos and sin of the rounded ``x`` the kernel is off by at most
-2.25 * 2^-53 (cos) and 1.98 * 2^-53 (sin) in absolute terms, measured
-against extended precision on 1.1e7 arguments in [0, 1e9); a correctly
+Every Dirichlet term comes from one kernel, ``_cos_msin``, called only
+by the traversal ``_partial_zeta_direct``, already weighted: with
+``u = tan(x/2)`` at ``x = t log n``, the weight ``w = n^-sigma`` and
+``r = w/(1 + u^2)``, its one division, ``w cos x = (1 - u^2) r`` and
+``-w sin x = (-2u) r``, nine numpy passes per pair.  ``x/2`` is taken as
+``(t/2) log n``, the halved rounding of ``t log n`` bit for bit.  A
+traversal that needs only real parts (the g map's) runs the cosine half,
+``_half_angle``, alone: seven passes.  numpy evaluates float64 ``tan``
+with SIMD instructions where its ``cos`` and ``sin`` take the scalar libm
+path, so one tangent costs about a third of the pair.  Against ``w cos``
+and ``-w sin`` of the rounded ``x`` the kernel is off by at most 2.57
+(cos) and 2.43 (sin) times ``2^-53`` at ``w = 1``, and 3.71 and 3.33
+times ``w 2^-53`` at ``w = n^-1/2`` (an ulp of ``w cos x`` is up to
+``w 2^-52``), measured against extended precision on 1.1e7 arguments in
+[0, 1e9), a fifth of them within 1e-6 of multiples of pi/2; a correctly
 rounded cos is off by 0.5 * 2^-53, and the rounding of ``x`` itself puts
-about ``|x| 2^-53`` into every term.  Only the brute-force oracle
+about ``|x| w 2^-53`` into every term.  Only the brute-force oracle
 ``offdiag_naive`` keeps ``np.cos``, so that it stays independent of the
 kernel.
 
@@ -173,36 +178,41 @@ def _n_pow(n: np.ndarray, sigma: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _half_angle(t: float, log_n: np.ndarray, cos: np.ndarray, u: np.ndarray,
-                den: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # cos(x), u = tan(x/2) and 1 + u^2 at x = t log n, written to the rows
-    # cos, u and den (u may be log_n itself); see the module docstring for
-    # the cost and the error bound.  x is rounded once, as a direct
-    # cos(t log n) would round it, and halved exactly, so it overflows at
-    # the same t and n.  A non-finite x gives nan without a numpy warning;
-    # the chunked sum rejects it with DomainError.
+def _half_angle(t: float, log_n: np.ndarray, w: np.ndarray,
+                rows: Sequence[np.ndarray]
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # w cos(x), u = tan(x/2) and r = w/(1 + u^2) at x = t log n, written to
+    # the three rows given (log_n and w are left as they are); see the
+    # module docstring for the cost and the error bound.  x/2 is taken as
+    # (t/2) log n: the halved rounding of t log n bit for bit, since both
+    # scale by a power of two, but finite up to twice as far, so the
+    # traversal refuses a t log n past binary64 itself.  A non-finite x/2
+    # gives nan without a numpy warning; the chunked sum rejects it with
+    # DomainError.
+    cos, u, r = rows
     with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(t, log_n, out=u)
-        u *= 0.5
+        np.multiply(0.5 * t, log_n, out=u)
         np.tan(u, out=u)
         np.multiply(u, u, out=cos)
-        np.add(cos, 1.0, out=den)
+        np.add(cos, 1.0, out=r)
+        np.divide(w, r, out=r)
         np.subtract(1.0, cos, out=cos)
-        cos /= den
-    return cos, u, den
+        cos *= r
+    return cos, u, r
 
 
-def _cos_msin(t: float, log_n: np.ndarray, rows: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray]:
-    # cos(x) and -sin(x) = -2u/(1 + u^2) at x = t log n, from _half_angle
-    # into the three rows given: cos, -sin and a scratch row.
+def _cos_msin(t: float, log_n: np.ndarray, w: np.ndarray,
+              rows: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    # w cos(x) and -w sin(x) = (-2u) r at x = t log n, from _half_angle
+    # into the three rows given: w cos, -w sin and a scratch row.
     # These two steps raise no numpy warning, so they need no errstate: u is
     # nan or below 2^62 in magnitude (no binary64 argument comes closer to a
     # pole of tan; the nearest is 6381956970095103 * 2^797, with tan about
-    # -2.1e18), and den = 1 + u^2 >= 1 or nan.
-    cos, u, den = _half_angle(t, log_n, *rows)
+    # -2.1e18), and |2u r| <= |w|.  Doubling u, not r, keeps a finite w
+    # finite: 2r overflows for w above 2^1023.
+    cos, u, r = _half_angle(t, log_n, w, rows)
     u *= -2.0
-    u /= den
+    u *= r
     return cos, u
 
 
@@ -212,18 +222,25 @@ def _partial_zeta_direct(sigma: float, ts: Sequence[float],
     # {m: S(sigma + it, m) for m in ends} for each t in ts, from one
     # traversal of n = 1..max(ends).  Each chunk is computed into one
     # block's rows: n as floats into the log row, n^-sigma from it, then
-    # its log in place; the trig factors once per ordinate.  Each trig
-    # column goes to one output row (den's, free once -sin is taken) and
-    # is reduced to every end before the next is made.  At t == 0, or with
+    # its log in place; the weighted trig columns once per ordinate, each
+    # reduced to every end before the next is made.  At t == 0, or with
     # imag false, only the real part is summed, off the n^-sigma row or the
     # kernel's cosine half (_half_angle), and the imaginary part is 0.0.
+    # A phase t log n past binary64 is refused before any chunk: log n
+    # grows with n, so the largest is t log k.
     k = max(ends, default=0)
     trig = any(t != 0.0 for t in ts)
+    if trig and k > 1:
+        log_k = float(np.log(np.float64(k)))
+        for t in ts:
+            if not math.isfinite(t * log_k):
+                raise DomainError(f"t log k = {t * log_k!r} is not finite "
+                                  f"at t={t!r}, k={k}")
     widths = [2 if imag and t != 0.0 else 1 for t in ts]
     block = _chunk_rows(5, k)
 
     def columns(idx: np.ndarray):
-        log_n, cos, msin, out, w = block[:, :idx.size]
+        log_n, w, *rows = block[:, :idx.size]
         log_n[...] = idx
         _n_pow(log_n, sigma, w)
         if trig:
@@ -232,12 +249,9 @@ def _partial_zeta_direct(sigma: float, ts: Sequence[float],
             if t == 0.0:
                 yield w
             elif width == 2:
-                _cos_msin(t, log_n, (cos, msin, out))
-                yield np.multiply(cos, w, out=out)
-                yield np.multiply(msin, w, out=out)
+                yield from _cos_msin(t, log_n, w, rows)
             else:
-                _half_angle(t, log_n, cos, msin, out)
-                yield np.multiply(cos, w, out=out)
+                yield _half_angle(t, log_n, w, rows)[0]
 
     totals = iter(chunked_parallel_pair_sum(columns, k, [ends] * sum(widths)))
     sums = []
@@ -353,7 +367,8 @@ def partial_zeta(sigma: float, t: float, k: int,
     head (15 terms for H_k) directly, then the integral, the endpoint halves
     and up to eight Bernoulli terms, with the remainder bounded by 2^-64;
     every other sum refuses such a ``k``.  A ``sigma`` or ``t`` that is not
-    a finite real number is a ``DomainError``.
+    a finite real number is a ``DomainError``, and so is a phase
+    ``t log k`` past binary64, before any term is summed.
     """
     k = _check_positive_int(k, "k", minimum=0)
     sigma = _check_real(sigma, "sigma")

@@ -38,19 +38,20 @@ above ``2^M max|x|``, each pass lowers the bound on ``max|x|`` by a factor
 tests).  Each pass total joins the int.  A plain sum of what is left
 finishes the chunk once it is exact.  After a pass with ``sigma = 2^s``
 every remainder is at most ``2^(s - 53)`` and a whole multiple of
-``2^(min(s, e_lo) - 53)``, where ``2^(e_lo - 1) <= min|x| < 2^e_lo``, so
-every partial sum of the remainders, in any order, is a whole number of
-that unit below ``2^(s - min(s, e_lo) + M)``: exact, once
+``2^(min(s, e_lo) - 53)``, where ``2^(e_lo - 1) <= |x_i| < 2^e_lo`` for
+the smallest nonzero ``|x_i|`` (a zero term stays zero, a multiple of any
+unit), so every partial sum of the remainders, in any order, is a whole
+number of that unit below ``2^(s - min(s, e_lo) + M)``: exact, once
 ``s - e_lo + M <= 53``.  For the first pass that is an exponent spread
 ``e_max - e_lo`` of at most ``53 - 2M`` binades, 23 for a 16384-term
-chunk.  So most chunks of the package's own terms take one pass and the
-finishing sum, where two passes emptied them before: 562 of the 564
-chunks of a type1 and a type2 gamma and three g steps at k = 1e6, 530 of
-the 566 of tables T1-T6.  A zero term gives no unit, so a chunk holding
-one ends only when the passes empty it.  A chunk whose ``sigma`` would
-exceed ``2^1023`` (some ``|x_i| >= 2^(1023 - M)``) joins the int term by
-term.  The passes write into two rows allocated once per sum, not per
-chunk.
+chunk.  So nearly every chunk of the package's own terms takes one pass
+and the finishing sum: 562 of the 566 chunks of tables T1-T6 and all 375
+of a type1 gamma and three g steps at k = 1e6, the first chunk of every
+sine column (its n = 1 term is ``sin 0 = 0``) among them.  A chunk whose
+``sigma`` would exceed ``2^1023`` (some ``|x_i| >= 2^(1023 - M)``) joins
+the int term by term.  The passes write into two rows allocated once per
+sum, not per chunk, and reduce them by numpy's ufunc reductions called
+directly (``np.add.reduce``, not the ``ndarray.sum`` wrapper around it).
 
 A prefix end ``m`` of a term array is one total, the sum of its terms at
 ``n = 1..m``; ``chunked_parallel_pair_sum`` takes them with its callback,
@@ -83,8 +84,8 @@ from .errors import DomainError
 DEFAULT_CHUNK = 16384
 
 #: Largest index range the chunked sums accept.  Every term is computed,
-#: so the runtime grows linearly in k: one gamma estimate takes 1.9-2.0 s at
-#: k = 1e8 on 2 vCPUs, so about 20 s at this cap.  The real
+#: so the runtime grows linearly in k: one gamma estimate takes 1.7 s at
+#: k = 1e8 on 2 vCPUs, so about 17 s at this cap.  The real
 #: diagonal sums of ``series.partial_zeta`` above it take an Euler-Maclaurin
 #: route.
 MAX_DIRECT_K = 10**9
@@ -154,15 +155,17 @@ def _exact_units(x: np.ndarray, work: np.ndarray) -> int:
     m = x.size.bit_length()
     q, left = work[:, :x.size]
     np.abs(x, out=q)
-    mu = float(q.max(initial=0.0))
+    mu = float(np.maximum.reduce(q, initial=0.0))
     if not math.isfinite(mu):
         raise DomainError("non-finite term in summation input")
     if math.frexp(mu)[1] + m > 1023:
         return sum(map(_units, x.tolist()))
-    # Every remainder stays a multiple of 2^(min(s, e_lo) - 53); a zero term
-    # gives no such unit, and then only the passes empty the chunk.
-    lo = float(q.min(initial=mu))
-    e_lo = math.frexp(lo)[1] if lo else -math.inf
+    # Every remainder stays a multiple of 2^(min(s, e_lo) - 53), e_lo from
+    # the smallest nonzero |x_i|: a zero term is a multiple of any unit.
+    lo = float(np.minimum.reduce(q, initial=mu))
+    if not lo:
+        lo = float(np.minimum.reduce(q, where=q > 0.0, initial=mu))
+    e_lo = math.frexp(lo)[1]
     units = 0
     rest = x
     while mu:
@@ -171,10 +174,10 @@ def _exact_units(x: np.ndarray, work: np.ndarray) -> int:
         np.add(rest, sigma, out=q)
         q -= sigma
         rest = np.subtract(rest, q, out=left)
-        units += _units(float(q.sum()))
+        units += _units(float(np.add.reduce(q)))
         if s - e_lo + m <= 53:
-            return units + _units(float(rest.sum()))
-        mu = float(np.abs(rest, out=q).max())
+            return units + _units(float(np.add.reduce(rest)))
+        mu = float(np.maximum.reduce(np.abs(rest, out=q)))
     return units
 
 

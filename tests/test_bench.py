@@ -5,7 +5,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from zetagamma import DomainError, OracleCapError, bench, bench_offdiag
+from zetagamma import DomainError, OracleCapError, bench, bench_offdiag, series
 from zetagamma.bench import CSV_HEADER
 
 T1 = 14.1347251417347
@@ -35,6 +35,16 @@ def test_factorized_beats_naive_at_10k():
 def test_cap_violation():
     with pytest.raises(OracleCapError):
         bench_offdiag(T1, [100_000])
+
+
+def test_cap_is_read_at_call_time(monkeypatch):
+    timed = []
+    monkeypatch.setattr(bench, "_median_time",
+                        lambda fn: timed.append(fn) or (0.0, fn()))
+    monkeypatch.setattr(series, "ORACLE_CAP", 20)
+    with pytest.raises(OracleCapError, match="cap 20"):
+        bench_offdiag(T1, [10, 21])
+    assert timed == []
 
 
 @pytest.mark.parametrize("bad", [10.7, 10.0, True])

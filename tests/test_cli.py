@@ -134,7 +134,7 @@ def test_zero_iterate_warns_from_runtime_warn_k(capsys, monkeypatch, k):
 
 @pytest.mark.parametrize("map_name, message", [
     ("g", "error: t log k = inf is not finite at t=1e+308, k=100\n"),
-    ("f", "error: non-finite term in summation input\n"),
+    ("f", "error: t log k = inf is not finite at t=1e+308, k=100\n"),
 ])
 def test_zero_iterate_phase_overflow_exits_3_with_one_line(map_name, message):
     # t log n overflows binary64: a typed error, with no traceback and no
@@ -201,10 +201,29 @@ def test_zero_iterate_json(capsys):
                            "--y0", "14.2", "--k", "1000", "--iters", "3")
     payload = json.loads(out)
     assert list(payload) == ["map", "k", "tol", "status", "final_residual",
-                             "iterates"]
+                             "iterates", "period"]
     assert payload["map"] == "f"
     assert len(payload["iterates"]) >= 2
     assert code in (0, 4, 5)
+
+
+def test_zero_iterate_cycle_exits_0_with_its_period(capsys):
+    # From 14.2 at k = 1000 the g map returns to an earlier iterate bit for
+    # bit, in steps too large for --tol 0: the run stops there, however many
+    # steps --iters allows.
+    argv = ("zero-iterate", "--map", "g", "--y0", "14.2", "--k", "1000",
+            "--iters", "10000", "--tol", "0")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert time.perf_counter() - start < 1.0
+    payload = json.loads(out)
+    assert code == 0 and payload["status"] == "cycle"
+    period = payload["period"]
+    assert period >= 2 and payload["iterates"][-1] == \
+        payload["iterates"][-1 - period]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0 and err.startswith("status: cycle (")
+    assert err.endswith(f", period={period})\n")
 
 
 def test_tables_t1_default_shape(capsys):
@@ -311,6 +330,21 @@ def test_bench_cap_error_names_no_cli_option(capsys):
     assert code == 3
     assert out == ""
     assert err == "error: k=100000 exceeds the brute-force cap 50000\n"
+
+
+@pytest.mark.parametrize("ks", ["2000,60000", "50000,60000"])
+def test_bench_refuses_a_k_past_the_cap_before_any_timing(capsys, monkeypatch,
+                                                          ks):
+    # Every k is checked against the cap before the first k is timed: a
+    # k past it later in the list does not wait for the others' timings.
+    timed = []
+    monkeypatch.setattr("zetagamma.bench._median_time",
+                        lambda fn: timed.append(fn) or (0.0, fn()))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "bench", "--k", ks)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, timed) == (3, "", [])
+    assert err == "error: k=60000 exceeds the brute-force cap 50000\n"
 
 
 def test_threads_flag_does_not_change_output(capsys):

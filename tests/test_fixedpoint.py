@@ -142,8 +142,8 @@ def test_iterate_f_map_sums_harmonic_once_per_run(chunked_sums):
     trace = iterate_fixed_point(FixedPointMap.F_MAP, 14.2, 1000, 3, 0.0)
     assert chunked_sums.k == [1000] * 4
     assert [y.hex() for y in trace.iterates] == [
-        "0x1.c666666666666p+3", "0x1.cd62c1605b27cp+3",
-        "0x1.ae7431d9fead5p+3", "0x1.ec89c22f1e1bep+3"]
+        "0x1.c666666666666p+3", "0x1.cd62c1605b27bp+3",
+        "0x1.ae7431d9feadbp+3", "0x1.ec89c22f1e25bp+3"]
     chained = [14.2]
     for _ in range(3):
         chained.append(f_of_t(chained[-1], 1000))
@@ -228,7 +228,53 @@ def test_trace_serialization_shapes():
     trace = iterate_fixed_point(FixedPointMap.G_MAP, T1, 10**4, 2, 0.0)
     payload = asdict(trace)
     assert list(payload) == ["map", "k", "tol", "status", "final_residual",
-                             "iterates"]
+                             "iterates", "period"]
     assert payload["map"] is FixedPointMap.G_MAP
     assert payload["status"] is FixedPointStatus.MAX_ITERS
     assert payload["iterates"][0] == T1 and len(payload["iterates"]) == 3
+    assert payload["period"] is None
+
+
+def _plain_trace_cycle(y0, k, steps):
+    # (first step, period) of the first iterate of chained g_of_t calls
+    # that equals an earlier one, scanning every pair; None if none does.
+    ys = [y0]
+    for _ in range(steps):
+        ys.append(g_of_t(ys[-1], k))
+        for i, y in enumerate(ys[:-1]):
+            if y == ys[-1]:
+                return i, len(ys) - 1 - i
+    return None
+
+
+def test_iterate_stops_on_an_exact_cycle():
+    # From 14.2 at k = 1000 the g map falls into an exact cycle within a
+    # hundred steps.  The run stops where the plain trace first repeats,
+    # with the same iterates and period, whatever max_iters allows.
+    first, period = _plain_trace_cycle(14.2, 1000, 100)
+    start = time.perf_counter()
+    trace = iterate_fixed_point(FixedPointMap.G_MAP, 14.2, 1000,
+                                fixedpoint.MAX_ITERS, 0.0)
+    assert time.perf_counter() - start < 1.0
+    assert trace.status is FixedPointStatus.CYCLE
+    assert period >= 2 and trace.period == period
+    assert len(trace.iterates) == first + period + 1
+    chained = [14.2]
+    for _ in range(first + period):
+        chained.append(g_of_t(chained[-1], 1000))
+    assert trace.iterates == tuple(chained)
+    assert trace.final_residual == abs(chained[-1] - chained[-2])
+
+
+def test_a_step_back_to_its_start_is_a_cycle(monkeypatch):
+    # A period-2 orbit through y0 itself; a repeat of the last iterate is a
+    # zero step, which converges at any tol.
+    orbit = {1.0: 2.0, 2.0: 1.0}
+    monkeypatch.setattr(fixedpoint, "g_of_t", lambda t, k: orbit[t])
+    trace = iterate_fixed_point(FixedPointMap.G_MAP, 1.0, 10, 50, 0.0)
+    assert (trace.status, trace.period, trace.iterates) == \
+        (FixedPointStatus.CYCLE, 2, (1.0, 2.0, 1.0))
+    monkeypatch.setattr(fixedpoint, "g_of_t", lambda t, k: 3.0)
+    trace = iterate_fixed_point(FixedPointMap.G_MAP, 1.0, 10, 50, 0.0)
+    assert (trace.status, trace.period, trace.iterates) == \
+        (FixedPointStatus.CONVERGED, None, (1.0, 3.0, 3.0))

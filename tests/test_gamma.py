@@ -97,13 +97,16 @@ def test_gamma_estimates_validates_like_lone_calls():
 
 
 def _sum_to(t, m):
-    # S(1/2 + it, m) from the kernel, each trig column through its own
+    # S(1/2 + it, m), each weighted trig column rebuilt from the half-angle
+    # tangent u = tan((t/2) log n) and r = n^-1/2/(1 + u^2) as
+    # n^-1/2 cos = (1 - u^2) r and -n^-1/2 sin = (-2u) r, through its own
     # chunked sum of unsigned terms.
     def column(trig):
         def terms(idx):
             nf = idx.astype(np.float64)
-            trig_row = series._cos_msin(t, np.log(nf), np.empty((3, nf.size)))[trig]
-            return trig_row * (1.0 / np.sqrt(nf))
+            u = np.tan(0.5 * t * np.log(nf))
+            r = (1.0 / np.sqrt(nf)) / (u * u + 1.0)
+            return (1.0 - u * u) * r if trig == 0 else -2.0 * u * r
         return chunked_parallel_sum(terms, m)
 
     return complex(column(0), column(1))

@@ -322,16 +322,24 @@ def test_rounding_check_flags_fsum_and_fractions():
 
 
 #: numpy's float summing reductions: each rounds unless its terms are known
-#: to add up exactly.
+#: to add up exactly.  The methods of the ufunc ``add`` that sum are flagged
+#: on it alone (``np.add.reduce``, ``add.accumulate``), not on other ufuncs.
 FLOAT_SUMS = ("sum", "nansum", "cumsum")
+ADD_SUMS = ("reduce", "reduceat", "accumulate")
+
+
+def _is_add(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "add"
+            or isinstance(node, ast.Attribute) and node.attr == "add")
 
 
 def _float_sums_outside_extraction(tree: ast.Module) -> list[int]:
-    # Lines that reach a numpy float sum (an array's .sum(), np.sum or a
-    # name imported from numpy) outside summation._exact_units.  There the
-    # extraction lemma and the exponent-spread bound prove every such sum
-    # exact; anywhere else a float sum would round before the one int
-    # division.  The builtin sum of ints is exact and not flagged.
+    # Lines that reach a numpy float sum (an array's .sum(), np.sum, a name
+    # imported from numpy, or add.reduce and its kin) outside
+    # summation._exact_units.  There the extraction lemma and the
+    # exponent-spread bound prove every such sum exact; anywhere else a
+    # float sum would round before the one int division.  The builtin sum
+    # of ints is exact and not flagged.
     allowed = {id(node)
                for fn in ast.walk(tree)
                if isinstance(fn, ast.FunctionDef) and fn.name == "_exact_units"
@@ -340,7 +348,9 @@ def _float_sums_outside_extraction(tree: ast.Module) -> list[int]:
     for node in ast.walk(tree):
         if id(node) in allowed:
             continue
-        if isinstance(node, ast.Attribute) and node.attr in FLOAT_SUMS:
+        if isinstance(node, ast.Attribute) and (
+                node.attr in FLOAT_SUMS
+                or node.attr in ADD_SUMS and _is_add(node.value)):
             found.append(node.lineno)
         elif (isinstance(node, ast.ImportFrom) and node.module == "numpy"
               and any(alias.name in FLOAT_SUMS for alias in node.names)):
@@ -357,9 +367,17 @@ def test_float_sum_check_flags_sums_outside_the_extraction():
     source = (
         "import numpy as np\n"
         "from numpy import sum as npsum\n"
+        "from numpy import add, maximum\n"
         "def _exact_units(x, work):\n"
         "    return int(x.sum()) + int(np.sum(x)) + sum([1, 2])\n"
         "def _chunked_sum(x):\n"
         "    total = x.sum() + np.sum(x)\n"
-        "    return total + np.cumsum(x)[-1] + sum(map(int, x))\n")
-    assert _float_sums_outside_extraction(ast.parse(source)) == [2, 6, 6, 7]
+        "    return total + np.cumsum(x)[-1] + sum(map(int, x))\n"
+        "def _exact_units_too(x):\n"
+        "    first = np.add.reduce(x) + add.reduceat(x, [0])[0]\n"
+        "    last = np.add.accumulate(x)[-1] + np.maximum.reduce(x)\n"
+        "    return first + last + maximum.accumulate(x)[-1] + np.add(x, x)\n"
+        "def _exact_units(x):\n"
+        "    return np.add.reduce(x) + add.accumulate(x)[-1]\n")
+    assert _float_sums_outside_extraction(ast.parse(source)) == \
+        [2, 7, 7, 8, 10, 10, 11]

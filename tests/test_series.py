@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -344,10 +345,14 @@ def test_n_pow_writes_powers_of_a_float_row():
 # ------------------ trig factors from the half-angle tangent -----------------
 
 def test_cos_msin_kernel_against_extended_precision():
-    # Against cos and -sin of the same binary64 argument in x87 extended
-    # precision: uniform arguments up to 1e9, small ones, and points within
-    # 1e-6 of multiples of pi/2 (the odd multiples of pi are the poles of
-    # the half-angle tangent).
+    # Against w cos and -w sin of the same binary64 argument in x87
+    # extended precision: uniform arguments up to 1e9, small ones, and
+    # points within 1e-6 of multiples of pi/2 (the odd multiples of pi are
+    # the poles of the half-angle tangent).  With w = 1 the kernel's trig
+    # factors alone; with w = n^-1/2 (n = 1, 2, ... along the arguments)
+    # the weighted columns the traversal sums, off by at most 3.14 (cos)
+    # and 3.09 (sin) times w 2^-53 here and 3.71 and 3.33 on 1.1e7
+    # arguments: an ulp of w cos lies between w 2^-53 and w 2^-52.
     if np.finfo(np.longdouble).nmant < 63:
         pytest.skip("np.longdouble is not x87 extended precision here")
     rng = np.random.default_rng(20191115)
@@ -356,20 +361,55 @@ def test_cos_msin_kernel_against_extended_precision():
         rng.uniform(0.0, 1e9, 100_000), rng.uniform(0.0, 10.0, 20_000),
         m * (math.pi / 2.0) + rng.uniform(-1e-6, 1e-6, m.size),
         np.arange(0, 64) * (math.pi / 2.0), [0.0, 5e-324, 1e-300]])
-    cos, msin = series_module._cos_msin(1.0, x, np.empty((3, x.size)))
     xl = x.astype(np.longdouble)
-    bound = 3.0 * 2.0 ** -53
-    assert float(np.abs(cos.astype(np.longdouble) - np.cos(xl)).max()) <= bound
-    assert float(np.abs(msin.astype(np.longdouble) + np.sin(xl)).max()) <= bound
+    for w, ulps in ((np.ones(x.size), 3.0),
+                    (1.0 / np.sqrt(np.arange(1.0, x.size + 1.0)), 4.0)):
+        cos, msin = series_module._cos_msin(1.0, x, w, np.empty((3, x.size)))
+        wl = w.astype(np.longdouble)
+        bound = ulps * 2.0 ** -53 * wl
+        assert (np.abs(cos.astype(np.longdouble) - wl * np.cos(xl))
+                <= bound).all()
+        assert (np.abs(msin.astype(np.longdouble) + wl * np.sin(xl))
+                <= bound).all()
 
 
 def test_cos_msin_kernel_gives_nan_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cos, msin = series_module._cos_msin(1e308, np.log([1.0, 1e3]),
-                                            np.empty((3, 2)))
+                                            np.ones(2), np.empty((3, 2)))
     assert cos[0] == 1.0 and msin[0] == 0.0
     assert math.isnan(cos[1]) and math.isnan(msin[1])
+
+
+def test_weighted_kernel_keeps_a_weight_near_overflow_finite():
+    # w = 2^1023.5 at n = 2: w sin and w cos are finite, and so is their
+    # sum with the n = 1 term, as in a kernel that weights its trig factors
+    # after taking them.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = partial_zeta(-1023.5, 1.0, 2)
+    w = 2.0 ** 1023.5
+    assert abs(z - (1.0 + w * complex(math.cos(math.log(2.0)),
+                                      -math.sin(math.log(2.0))))) <= 1e-15 * w
+
+
+def test_phase_past_binary64_is_refused_at_the_first_t():
+    # The kernel halves t before the product, so (t/2) log n stays finite
+    # up to twice as far as t log n; the traversal refuses every t whose
+    # t log k leaves binary64 (log n grows with n), as a kernel taking
+    # t log n itself does, and sums the float below it.
+    k = 1000
+    log_k = float(np.log(np.arange(1.0, k + 1.0))[-1])
+    t = sys.float_info.max / log_k
+    while math.isfinite(t * log_k):
+        t = math.nextafter(t, math.inf)
+    while not math.isfinite(math.nextafter(t, 0.0) * log_k):
+        t = math.nextafter(t, 0.0)
+    with pytest.raises(DomainError, match="finite"):
+        partial_zeta(0.5, t, k)
+    z = partial_zeta(0.5, math.nextafter(t, 0.0), k)
+    assert math.isfinite(z.real) and math.isfinite(z.imag)
 
 
 @pytest.mark.parametrize("alternating", [False, True])

@@ -680,18 +680,15 @@ def test_finishing_sum_at_the_spread_bound(n, top, signs, zeros, over,
                                            monkeypatch):
     # n < 2^M terms whose exponents span exactly 53 - 2M binades take one
     # pass and the finishing sum; one binade more takes a second pass (M
-    # steps from 14 to 15 between 16383 and 16384 terms).  A zero term
-    # turns the finishing sum off, and the passes alone empty the chunk.
-    # Every total is the exact one, rounded once.
+    # steps from 14 to 15 between 16383 and 16384 terms).  Zero terms do
+    # not count: the spread is that of the nonzero ones.  Every total is
+    # the exact one, rounded once.
     spread = 53 - 2 * n.bit_length() + over
     x = _spread_terms(np.random.default_rng(n + over), n, spread, top,
                       signs, zeros)
     sigmas, total = _sigmas_of_one_chunk(x, monkeypatch)
     assert total.hex() == math.fsum(x.tolist()).hex()
-    if zeros:
-        assert len(sigmas) >= 2
-    else:
-        assert len(sigmas) == 1 + over
+    assert len(sigmas) == 1 + over
     _assert_bit_identical(x, chunk=n)
 
 
@@ -745,13 +742,17 @@ def test_one_term_chunk_is_its_own_total(value, monkeypatch):
 
 
 def test_package_terms_take_one_pass_per_chunk(monkeypatch):
-    # A 16384-term chunk of the cosine terms cos(t log n)/sqrt(n) and one of
-    # 1/n: exponent spreads of 16 and 14 binades, within the bound of 23,
-    # so each is one pass and the finishing sum, where two passes were
-    # needed before.
+    # A 16384-term chunk of the cosine terms cos(t log n)/sqrt(n), one of
+    # 1/n and the first chunk of the sine terms, whose n = 1 term is
+    # sin 0 = 0: exponent spreads of 16, 14 and 21 binades, within the
+    # bound of 23, so each is one pass and the finishing sum, where two
+    # passes were needed before (for the sine chunk, until a zero term no
+    # longer turned the finishing sum off).
     n = np.arange(16385, 32769, dtype=np.float64)
     t = 14.1347251417347
-    for x in (np.cos(t * np.log(n)) / np.sqrt(n), 1.0 / (n - 16384.0)):
+    head = n - 16384.0
+    for x in (np.cos(t * np.log(n)) / np.sqrt(n), 1.0 / head,
+              np.sin(t * np.log(head)) / np.sqrt(head)):
         assert x.size == DEFAULT_CHUNK
         sigmas, total = _sigmas_of_one_chunk(x, monkeypatch)
         assert len(sigmas) == 1
@@ -907,20 +908,21 @@ def test_callback_must_give_an_iterable_of_arrays(result):
 @pytest.mark.parametrize("alternating", [False, True])
 def test_partial_zeta_pair_sum_matches_per_chunk_reference(alternating):
     # partial_zeta's callback at s = 1/2 + i t1, rebuilt here chunk by chunk
-    # (its trig factors from the half-angle tangent u: cos = (1 - u^2)/
-    # (1 + u^2), -sin = -2u/(1 + u^2)); every term of every chunk to each
-    # end goes to one math.fsum.  The alternating sum is read off the plain
-    # sums to k//2 and k as 2^(1-s) S(s, k//2) - S(s, k).
+    # (its weighted trig columns from the half-angle tangent u =
+    # tan((t/2) log n) and r = n^-1/2/(1 + u^2): n^-1/2 cos = (1 - u^2) r,
+    # -n^-1/2 sin = (-2u) r); every term of every chunk to each end goes to
+    # one math.fsum.  The alternating sum is read off the plain sums to
+    # k//2 and k as 2^(1-s) S(s, k//2) - S(s, k).
     t, k = 14.1347251417347, 300_000
     re_terms, im_terms = [], []
     for lo in range(1, k + 1, DEFAULT_CHUNK):
         idx = np.arange(lo, min(lo + DEFAULT_CHUNK, k + 1), dtype=np.int64)
         nf = idx.astype(np.float64)
         w = 1.0 / np.sqrt(nf)
-        u = np.tan(t * np.log(nf) * 0.5)
-        den = u * u + 1.0
-        re_terms += ((1.0 - u * u) / den * w).tolist()
-        im_terms += (-2.0 * u / den * w).tolist()
+        u = np.tan(0.5 * t * np.log(nf))
+        r = w / (u * u + 1.0)
+        re_terms += ((1.0 - u * u) * r).tolist()
+        im_terms += (-2.0 * u * r).tolist()
 
     def plain(m):
         return complex(math.fsum(re_terms[:m]), math.fsum(im_terms[:m]))

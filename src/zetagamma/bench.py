@@ -27,13 +27,19 @@ REPEATS = 3
 
 @dataclass(frozen=True)
 class BenchReport:
-    """One timed naive-vs-factorized comparison at a single (k, t)."""
+    """One timed naive-vs-factorized comparison at a single (k, t).
+
+    ``oracle_threads`` is the number of threads the brute-force oracle ran
+    on (see ``series.offdiag_naive``): ``naive_seconds`` depends on it, so
+    timings from different hosts compare only with it.
+    """
 
     k: int
     t: float
     naive_seconds: float
     factorized_seconds: float
     max_abs_diff: float
+    oracle_threads: int
 
 
 CSV_HEADER = tuple(f.name for f in fields(BenchReport))
@@ -79,5 +85,6 @@ def bench_offdiag(t: float, k_list: Sequence[int]) -> list[BenchReport]:
                 f"naive and factorized off-diagonal sums disagree by {diff:.3e} "
                 f"at k={k}, t={t!r} (limit {MAX_ALLOWED_DIFF:.1e})")
         reports.append(BenchReport(k=k, t=t, naive_seconds=naive_s,
-                                   factorized_seconds=fact_s, max_abs_diff=diff))
+                                   factorized_seconds=fact_s, max_abs_diff=diff,
+                                   oracle_threads=series._naive_plan(k)[1]))
     return reports

@@ -2,7 +2,9 @@
 
 Subcommands: gamma, zero-iterate, tables, bench.  Every command is
 deterministic given its flags and input files; --threads N is accepted,
-sums run on one thread, and results never depend on N.  Exit codes:
+sums run on one thread, and results never depend on N.  The brute-force
+oracle that bench times alone splits its rows over the CPUs the process
+may use; its value never depends on how many.  Exit codes:
 0 ok, 1 other failure (an unwritable --out file, or bench routes that
 disagree), 2 catalog miss, unreadable --zeros-file or bad arguments (an
 empty --q/--k list among them), 3 domain or cap error, 4 diverged
@@ -169,8 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true",
                         help="emit a single JSON object instead of text/CSV")
     common.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="accepted; sums run on one thread; "
-                             "results never depend on N")
+                        help="accepted; sums run on one thread (the "
+                             "bench oracle alone splits its rows over the "
+                             "available CPUs); results never depend on N "
+                             "or on the CPU count")
 
     parser = argparse.ArgumentParser(
         prog="zetagamma",

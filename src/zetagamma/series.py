@@ -28,7 +28,9 @@ times ``w 2^-53`` at ``w = n^-1/2`` (an ulp of ``w cos x`` is up to
 rounded cos is off by 0.5 * 2^-53, and the rounding of ``x`` itself puts
 about ``|x| w 2^-53`` into every term.  Only the brute-force oracle
 ``offdiag_naive`` keeps ``np.cos``, so that it stays independent of the
-kernel.
+kernel.  It is also the only routine that runs on more than one thread:
+it splits its row blocks over the CPUs the process may use, and its value
+never depends on how many.  Every sum runs on the calling thread.
 
 The two headline results are ``gamma_type1`` and ``gamma_type2``:
 estimates of the Euler-Mascheroni constant built from a single
@@ -56,6 +58,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
@@ -443,7 +447,29 @@ def trig_sums(params: SeriesParams, alternating: bool) -> TrigSums:
     return TrigSums(cos_sum=z.real, sin_sum=sin_sum)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # nan terms: DomainError
+def _usable_cpus() -> int:
+    # CPUs this process may run on: its affinity mask where the platform
+    # has one, else every CPU.
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _naive_plan(k: int) -> tuple[list[tuple[int, int]], int]:
+    # offdiag_naive's row blocks at k, each (n0, b) for the rows
+    # n = n0..n0+b-1 against the columns m = n0+1..k, and the number of
+    # threads they are split over: one per usable CPU, at most one per
+    # block, at least one.
+    blocks = []
+    n0 = 1
+    while n0 < k:
+        width = k - n0
+        b = max(1, min(width, _NAIVE_BLOCK // width))
+        blocks.append((n0, b))
+        n0 += b
+    return blocks, max(1, min(len(blocks), _usable_cpus()))
+
+
 def offdiag_naive(params: SeriesParams, alternating: bool) -> float:
     """Doubled off-diagonal double sum by brute force - the O(k^2) oracle.
 
@@ -455,12 +481,23 @@ def offdiag_naive(params: SeriesParams, alternating: bool) -> float:
     Consecutive rows n = n0..n0+b-1 are evaluated as one block against the
     columns m = n0+1..k, with the entries m <= n, all in its leading
     b x b corner, zeroed.  The block holds at most ``_NAIVE_BLOCK`` = 2^14
-    elements (one row when a row is longer) and is computed in place, in
-    one buffer allocated once per call.
+    elements (one row when a row is longer) and is computed in place.
     Each row is reduced by numpy's pairwise sum, with error about
     ``eps * log2(k) * sum|terms|``, and the row totals are combined by one
     correctly rounded ``compensated_sum``; that is far under the 1e-11
     scaled gate against the factorized route.
+
+    This is the one routine of the package that runs on more than one
+    thread.  The blocks are split over the CPUs the process may use (its
+    affinity mask), at most one thread per block: with w threads, the
+    calling thread takes blocks 0, w, 2w, ... and worker i blocks i, i + w,
+    ..., each into a buffer of its own, allocated once per call.  numpy's
+    divide, log and cos release the interpreter lock while they loop.  A
+    row total does not depend on the thread that computes it, and the
+    correctly rounded sum does not depend on the order of the totals, so
+    the value is the same bit for bit at every CPU count.  A worker's
+    exception is raised on the calling thread once every worker has been
+    joined.
 
     Refuses k beyond ``ORACLE_CAP`` with ``OracleCapError`` to bound the
     quadratic runtime.
@@ -475,24 +512,50 @@ def offdiag_naive(params: SeriesParams, alternating: bool) -> float:
     w = _n_pow(nf, params.sigma, np.empty(k))
     if alternating:
         w[::2] *= -1.0
-    buf = np.empty(max(k - 1, _NAIVE_BLOCK))
-    rows: list[float] = []
-    n0 = 1
-    while n0 < k:
-        width = k - n0
-        b = max(1, min(width, _NAIVE_BLOCK // width))
-        n_rows = slice(n0 - 1, n0 - 1 + b)
-        terms = np.divide(nf[n0:], nf[n_rows, None],
-                          out=buf[:b * width].reshape(b, width))
-        np.log(terms, out=terms)
-        terms *= t
-        np.cos(terms, out=terms)
-        terms *= w[n0:]
-        terms *= w[n_rows, None]
-        np.copyto(terms[:, :b], 0.0, where=np.tri(b, b, -1, dtype=bool))
-        rows.extend(terms.sum(axis=1).tolist())
-        n0 += b
-    return 2.0 * compensated_sum(rows)
+    blocks, threads = _naive_plan(k)
+    bufs = np.empty((threads, max(k - 1, _NAIVE_BLOCK)))
+    totals: list[list[float] | None] = [None] * len(blocks)
+    errors: list[BaseException] = []
+
+    def share(i: int) -> None:
+        # Blocks i, i + threads, ... into bufs[i].  numpy's error state is
+        # per thread, so each share sets its own: nan terms: DomainError.
+        buf = bufs[i]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(i, len(blocks), threads):
+                n0, b = blocks[j]
+                width = k - n0
+                n_rows = slice(n0 - 1, n0 - 1 + b)
+                terms = np.divide(nf[n0:], nf[n_rows, None],
+                                  out=buf[:b * width].reshape(b, width))
+                np.log(terms, out=terms)
+                terms *= t
+                np.cos(terms, out=terms)
+                terms *= w[n0:]
+                terms *= w[n_rows, None]
+                np.copyto(terms[:, :b], 0.0,
+                          where=np.tri(b, b, -1, dtype=bool))
+                totals[j] = terms.sum(axis=1).tolist()
+
+    def work(i: int) -> None:
+        try:
+            share(i)
+        except BaseException as exc:  # raised again on the calling thread
+            errors.append(exc)
+
+    started = []
+    try:
+        for i in range(1, threads):
+            worker = threading.Thread(target=work, args=(i,))
+            worker.start()
+            started.append(worker)
+        share(0)
+    finally:
+        for worker in started:
+            worker.join()
+    if errors:
+        raise errors[0]
+    return 2.0 * compensated_sum([x for rows in totals for x in rows])
 
 
 def offdiag_factorized(params: SeriesParams, alternating: bool) -> float:

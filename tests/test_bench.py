@@ -16,14 +16,18 @@ def test_empty_list_gives_empty_reports():
 
 
 def test_reports_agree_and_serialize(monkeypatch):
+    # k = 20 is one row block, so the oracle runs on the calling thread
+    # alone, whatever the CPU count.
     monkeypatch.setattr(bench, "REPEATS", 1)
-    reports = bench_offdiag(T1, [500, 1000])
-    assert len(reports) == 2
+    monkeypatch.setattr(series, "_usable_cpus", lambda: 3)
+    reports = bench_offdiag(T1, [500, 1000, 20])
+    assert len(reports) == 3
     for rep in reports:
         assert rep.max_abs_diff <= 1e-11
         row = astuple(rep)
         assert len(row) == len(CSV_HEADER)
         assert row[0] == rep.k and row[1] == T1
+    assert [rep.oracle_threads for rep in reports] == [3, 3, 1]
 
 
 def test_factorized_beats_naive_at_10k():

@@ -305,7 +305,7 @@ def test_bench_csv_and_cap(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["k", "t", "naive_seconds", "factorized_seconds",
-                       "max_abs_diff"]
+                       "max_abs_diff", "oracle_threads"]
     assert len(rows) == 3
     assert float(rows[1][4]) <= 1e-10
 
@@ -322,7 +322,8 @@ def test_bench_json_keys(capsys):
     assert [r["k"] for r in payload["reports"]] == [50, 60]
     for report in payload["reports"]:
         assert list(report) == ["k", "t", "naive_seconds",
-                                "factorized_seconds", "max_abs_diff"]
+                                "factorized_seconds", "max_abs_diff",
+                                "oracle_threads"]
 
 
 def test_bench_cap_error_names_no_cli_option(capsys):

@@ -1,7 +1,8 @@
 """Static checks on the package sources: no dead imports, no dead private code,
-no default that no call overrides, numpy cos/sin only in the brute-force
-oracle, the half-angle kernel only in the shared traversal, one rounding
-step for every sum, and float sums in summation only where they are exact."""
+no default that no call overrides, numpy cos/sin and threads only in the
+brute-force oracle, the half-angle kernel only in the shared traversal, one
+rounding step for every sum, and float sums in summation only where they are
+exact."""
 
 import ast
 from pathlib import Path
@@ -110,6 +111,60 @@ def test_numpy_trig_check_flags_calls_outside_the_oracle():
         "    f = np.cos\n"
         "    return np.sin(x) + f(x) + np.tan(x)\n")
     assert _numpy_trig_outside_oracle(ast.parse(source)) == [2, 6, 7]
+
+
+#: Modules that start threads or processes.  Every sum runs on the calling
+#: thread; only the brute-force oracle splits its rows over the CPUs.
+THREAD_MODULES = ("threading", "_thread", "concurrent", "multiprocessing")
+
+
+def _threads_outside_oracle(tree: ast.Module) -> list[int]:
+    # Lines that reach a thread or process module outside offdiag_naive: a
+    # read of its name, or a from-import from it (whose names cannot be
+    # followed), and any import of one but a plain ``import threading``.
+    # That one starts nothing and costs nothing, since numpy has already
+    # loaded it; ``concurrent.futures`` alone adds about 10 ms (it loads
+    # ``logging``) to every start-up.
+    allowed = {id(node)
+               for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and fn.name == "offdiag_naive"
+               for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, ast.Name) and node.id in THREAD_MODULES:
+            found.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[0] in THREAD_MODULES):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Import) and any(
+                alias.name.split(".")[0] in THREAD_MODULES
+                and (alias.name, alias.asname) != ("threading", None)
+                for alias in node.names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_threads_only_in_the_oracle(module):
+    lines = _threads_outside_oracle(TREES[module])
+    assert not lines, f"{module}: threads or processes outside offdiag_naive at {lines}"
+
+
+def test_thread_check_flags_threads_outside_the_oracle():
+    source = (
+        "import threading\n"
+        "import concurrent.futures\n"
+        "import threading as th\n"
+        "from multiprocessing import Pool\n"
+        "def offdiag_naive(x):\n"
+        "    from concurrent.futures import ThreadPoolExecutor\n"
+        "    threading.Thread(target=x).start()\n"
+        "def _chunked_sum(x):\n"
+        "    worker = threading.Thread(target=x)\n"
+        "    return concurrent.futures.ThreadPoolExecutor(2), th.Lock()\n")
+    assert _threads_outside_oracle(ast.parse(source)) == [2, 3, 4, 9, 10]
 
 
 #: The half-angle kernel's functions and the only functions that may reach

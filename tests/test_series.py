@@ -1,9 +1,11 @@
 """Series-core operations against independent oracles and closed forms."""
 
+import functools
 import itertools
 import math
 import random
 import sys
+import threading
 import time
 import warnings
 from fractions import Fraction
@@ -617,12 +619,79 @@ def test_offdiag_naive_matches_double_loop():
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (sigma, t, k)
 
 
-def test_offdiag_naive_overflowing_phase_is_a_domain_error():
-    # t log(m/n) overflows binary64: a typed error, and no numpy warning.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DomainError):
-            offdiag_naive(SeriesParams(0.5, 1e308, 100), True)
+def test_offdiag_naive_overflowing_phase_is_a_domain_error(monkeypatch):
+    # t log(m/n) overflows binary64 (wherever m/n > 6): a typed error, and
+    # no numpy warning.  At k = 100 the rows are one block, on the calling
+    # thread; in blocks of one row they are split over two threads, and
+    # the worker's rows 2, 4, ... overflow too.  A new thread does not
+    # inherit numpy's error state, so the worker sets its own.
+    monkeypatch.setattr(series_module, "_usable_cpus", lambda: 2)
+    for block in (series_module._NAIVE_BLOCK, 7):
+        monkeypatch.setattr(series_module, "_NAIVE_BLOCK", block)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                offdiag_naive(SeriesParams(0.5, 1e308, 100), True)
+
+
+#: float.hex of offdiag_naive as one thread computed it, before its row
+#: blocks were split over the CPUs: (sigma, t, k, alternating) -> bits.
+NAIVE_BITS = {
+    (0.5, T1, 2000, True): "-0x1.05b42af188206p+3",
+    (0.5, T1, 2000, False): "0x1.d278781fa03e2p+0",
+    (0.5, T1, 1000, True): "-0x1.df0ddc44a9bafp+2",
+    (0.37, 123.4, 300, True): "-0x1.51c3847525ed9p+3",
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+def test_offdiag_naive_bits_do_not_depend_on_the_cpu_count(monkeypatch, cpus):
+    # The same bits on one thread and on more threads than this host has
+    # cores; a short switch interval makes the threads interleave often, so
+    # a row total lost or written twice would show.
+    monkeypatch.setattr(series_module, "_usable_cpus", lambda: cpus)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for (sigma, t, k, alt), bits in NAIVE_BITS.items():
+            assert offdiag_naive(SeriesParams(sigma, t, k), alt).hex() == bits
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_offdiag_naive_threads_are_bounded_and_joined(monkeypatch):
+    # Each row block calls np.tri once, on the thread that computes it: a
+    # spy there sees the threads running.  A one-block call starts none; a
+    # multi-block call starts at most one per CPU but the caller's, and
+    # none is left running when it returns, also when a worker raises.
+    caller = threading.current_thread()
+    before = threading.active_count()
+    seen = []
+    tri = np.tri
+
+    class WorkerFailed(Exception):
+        pass
+
+    def spy(*args, fail=False, **kwargs):
+        seen.append(threading.active_count())
+        if fail and threading.current_thread() is not caller:
+            raise WorkerFailed
+        return tri(*args, **kwargs)
+
+    monkeypatch.setattr(series_module, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(np, "tri", spy)
+    offdiag_naive(SeriesParams(0.5, T1, 100), True)
+    assert seen == [before]
+
+    seen.clear()
+    offdiag_naive(SeriesParams(0.5, T1, 1000), True)
+    assert before < max(seen) <= before + 2
+    assert threading.active_count() == before
+
+    monkeypatch.setattr(np, "tri", functools.partial(spy, fail=True))
+    with pytest.raises(WorkerFailed):
+        offdiag_naive(SeriesParams(0.5, T1, 1000), True)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])

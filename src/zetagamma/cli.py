@@ -47,7 +47,8 @@ _ERROR_EXIT = ((CatalogError, EXIT_CATALOG), (DomainError, EXIT_DOMAIN),
                (SingularGuardError, EXIT_SINGULAR), (ZetaGammaError, 1))
 
 #: From this k on, one g-map step takes 0.4 s or more (0.29-0.30 s at 3e7,
-#: 0.40-0.43 s at 4e7 and 0.58-0.67 s at 6e7 on 2 vCPUs).
+#: 0.40-0.43 s at 4e7 and 0.58-0.67 s at 6e7 on 2 vCPUs).  zero-iterate
+#: warns from here up to summation.MAX_DIRECT_K; past it no sum scans k terms.
 RUNTIME_WARN_K = 40_000_000
 
 
@@ -113,7 +114,7 @@ _STATUS_EXIT = {
 
 
 def _cmd_zero_iterate(args) -> int:
-    if args.k >= RUNTIME_WARN_K:
+    if RUNTIME_WARN_K <= args.k <= summation.MAX_DIRECT_K:
         print(f"warning: k={args.k} scans {args.k} terms per iterate; "
               "expect seconds per iteration", file=sys.stderr)
     trace = iterate_fixed_point(FixedPointMap(args.map), args.y0, args.k,

@@ -1,14 +1,17 @@
 """Truncated series and closed forms tied to zeta zeros on the critical strip.
 
 All functions work in plain binary64.  Every ``n^-s`` sum is read off
-one primitive, ``partial_zeta(sigma, t, k, alternating)``, which has two
-routes.  The direct route accumulates every term through the correctly
-rounded chunked sums of :mod:`zetagamma.summation`, up to their cap
-``MAX_DIRECT_K``.  Above the cap, the real, non-alternating sums with
-``sigma > 0`` (the diagonals ``sum n^(-2 sigma)`` and ``H_k``) take an
-Euler-Maclaurin route: a short head (15 terms for ``H_k``) is summed
-directly and the rest is the integral plus Bernoulli corrections, in
-O(1) time.
+one traversal, ``_partial_zeta_direct``, and the traversal decides each
+sum's route once, before any work, for every reader: ``partial_zeta``,
+the gamma estimators and the zero maps alike.  Up to ``MAX_DIRECT_K`` the
+direct route accumulates every term through the correctly rounded chunked
+sums of :mod:`zetagamma.summation`.  Past the cap, every end of a real sum
+(``t == 0``) with ``sigma > 0`` is an Euler-Maclaurin read: a short head
+(15 terms for ``H_k``) is summed directly and the rest is the integral
+plus Bernoulli corrections, in O(1) time.  That covers the diagonals
+``sum n^(-2 sigma)``, ``H_k`` and the alternating real sums, which take
+the eta identity below on two such reads.  Every other sum past the cap
+is a ``DomainError``.
 
 Every Dirichlet term comes from one kernel, ``_cos_msin``, called only
 by the traversal ``_partial_zeta_direct``, already weighted: with
@@ -70,6 +73,7 @@ import numpy as np
 from .errors import DomainError, OracleCapError
 from .summation import (
     MAX_DIRECT_K,
+    _cap_error,
     _check_positive_int,
     _check_real,
     _chunk_rows,
@@ -223,8 +227,12 @@ def _cos_msin(t: float, log_n: np.ndarray, w: np.ndarray,
 def _partial_zeta_direct(sigma: float, ts: Sequence[float],
                          ends: Sequence[int], imag: bool = True
                          ) -> list[dict[int, complex]]:
-    # {m: S(sigma + it, m) for m in ends} for each t in ts, from one
-    # traversal of n = 1..max(ends).  Each chunk is computed into one
+    # {m: S(sigma + it, m) for m in ends} for each t in ts.  This picks
+    # every Dirichlet sum's route, before any work.  Past MAX_DIRECT_K, a
+    # real sum (every t == 0) at sigma > 0 reads each end by
+    # _partial_zeta_em (every caller's ends then lie at k//2 or above, far
+    # past its head), and any other sum is refused.  Up to the cap it is
+    # one traversal of n = 1..max(ends).  Each chunk is computed into one
     # block's rows: n as floats into the log row, n^-sigma from it, then
     # its log in place; the weighted trig columns once per ordinate, each
     # reduced to every end before the next is made.  At t == 0, or with
@@ -234,6 +242,11 @@ def _partial_zeta_direct(sigma: float, ts: Sequence[float],
     # grows with n, so the largest is t log k.
     k = max(ends, default=0)
     trig = any(t != 0.0 for t in ts)
+    if k > MAX_DIRECT_K:
+        if trig or sigma <= 0.0:
+            raise _cap_error(k)
+        return [{m: complex(_partial_zeta_em(sigma, m), 0.0) for m in ends}
+                for _ in ts]
     if trig and k > 1:
         log_k = float(np.log(np.float64(k)))
         for t in ts:
@@ -358,32 +371,30 @@ def partial_zeta(sigma: float, t: float, k: int,
     summed and the imaginary part is ``0.0``.
 
     Up to ``k = summation.MAX_DIRECT_K`` every sum is direct, in one
-    traversal of ``n = 1..k``.  The alternating sum is taken as
-    ``2^(1-s) S(s, k//2) - S(s, k)`` from the plain sums to both ends.
-    It adds the roundings of the two sums and of ``2^(1-s)``: where the
-    sums cancel, up to about ``eps |S(s, k)|`` beside the rounding of the
-    phases ``t log n``.  At ``t == 0`` there is no phase, so with
-    ``sigma <= 0`` integer sums are no longer exact
-    (``partial_zeta(-2.0, 0.0, 10**6, True)`` is 32 below k(k+1)/2), and
-    at ``k == 2`` a ``sigma`` in (-1024, -1023) overflows ``2^(1-s)`` and
-    is a ``DomainError``.  Above the cap, sums with ``t == 0``,
-    ``sigma > 0`` and no alternation take the Euler-Maclaurin route: a short
-    head (15 terms for H_k) directly, then the integral, the endpoint halves
-    and up to eight Bernoulli terms, with the remainder bounded by 2^-64;
-    every other sum refuses such a ``k``.  A ``sigma`` or ``t`` that is not
-    a finite real number is a ``DomainError``, and so is a phase
-    ``t log k`` past binary64, before any term is summed.
+    traversal of ``n = 1..k``.  Above the cap, sums with ``t == 0`` and
+    ``sigma > 0`` take the Euler-Maclaurin route: a short head (15 terms
+    for H_k) directly, then the integral, the endpoint halves and up to
+    eight Bernoulli terms, with the remainder bounded by 2^-64; every other
+    sum refuses such a ``k`` with a ``DomainError``.  The alternating sum
+    is taken as ``2^(1-s) S(s, k//2) - S(s, k)`` from the plain sums to
+    both ends, on either route.  It adds the roundings of the two sums and
+    of ``2^(1-s)``: where the sums cancel, up to about ``eps |S(s, k)|``
+    beside the rounding of the phases ``t log n``, and past the cap an
+    alternating real sum loses about as much to the identity.  At
+    ``t == 0`` there is no phase, so with ``sigma <= 0`` integer sums are
+    no longer exact (``partial_zeta(-2.0, 0.0, 10**6, True)`` is 32 below
+    k(k+1)/2), and at ``k == 2`` a ``sigma`` in (-1024, -1023) overflows
+    ``2^(1-s)`` and is a ``DomainError``.  A ``sigma`` or ``t`` that is
+    not a finite real number is a ``DomainError``, and so are a phase
+    ``t log k`` past binary64 and a ``k`` the route refuses, before any
+    term is summed.
     """
     k = _check_positive_int(k, "k", minimum=0)
     sigma = _check_real(sigma, "sigma")
     t = _check_real(t, "t")
-    if k > MAX_DIRECT_K and t == 0.0 and not alternating and sigma > 0.0:
-        return complex(_partial_zeta_em(sigma, k), 0.0)
-    if alternating:
-        [z] = _partial_zeta_direct(sigma, (t,), (k // 2, k))
-        return _alternating(sigma, t, z[k // 2], z[k])
-    [z] = _partial_zeta_direct(sigma, (t,), (k,))
-    return z[k]
+    ends = (k // 2, k) if alternating else (k,)
+    [z] = _partial_zeta_direct(sigma, (t,), ends)
+    return _alternating(sigma, t, z[k // 2], z[k]) if alternating else z[k]
 
 
 def harmonic_partial_sum(k: int) -> float:

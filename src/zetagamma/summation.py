@@ -66,8 +66,8 @@ Every sum raises ``DomainError`` on a term that is not a finite real
 number (complex, str and object terms are refused, not cast) or a total
 that overflows binary64, and returns a finite total even where a partial
 one overflows.  The chunked sums take at most ``MAX_DIRECT_K`` terms; above
-that, ``series.partial_zeta`` answers the real diagonal sums by an
-Euler-Maclaurin route that sums only a short head here.
+that, the traversal of ``series`` reads every real sum at ``sigma > 0`` by
+an Euler-Maclaurin route that sums only a short head here.
 """
 from __future__ import annotations
 
@@ -85,9 +85,10 @@ DEFAULT_CHUNK = 16384
 
 #: Largest index range the chunked sums accept.  Every term is computed,
 #: so the runtime grows linearly in k: one gamma estimate takes 1.7 s at
-#: k = 1e8 on 2 vCPUs, so about 17 s at this cap.  The real
-#: diagonal sums of ``series.partial_zeta`` above it take an Euler-Maclaurin
-#: route.
+#: k = 1e8 on 2 vCPUs, so about 17 s at this cap.  Above it, the traversal
+#: of ``series`` reads a real sum (t = 0) at sigma > 0 by an
+#: Euler-Maclaurin route, alternating sums included, and refuses every
+#: other sum before any work.
 MAX_DIRECT_K = 10**9
 
 _num_workers = 1
@@ -128,6 +129,16 @@ def set_num_workers(n: int) -> None:
 
 def get_num_workers() -> int:
     return _num_workers
+
+
+def _cap_error(k: int) -> DomainError:
+    # The refusal of a k past MAX_DIRECT_K.  A k too long for str() (past
+    # the interpreter's int-to-str digit limit) is named by its bit length.
+    try:
+        shown = str(k)
+    except ValueError:
+        shown = f"a {k.bit_length()}-bit integer"
+    return DomainError(f"k={shown} exceeds the direct-sum cap {MAX_DIRECT_K}")
 
 
 def _units(value: float) -> int:
@@ -225,7 +236,7 @@ def _chunked_sum(block_fn: Callable[[np.ndarray], Iterable[np.ndarray]],
     # any chunk; at k = 0 no chunk runs and every total is 0.0.
     k = _check_positive_int(k, "k", minimum=0)
     if k > MAX_DIRECT_K:
-        raise DomainError(f"k={k} exceeds the direct-sum cap {MAX_DIRECT_K}")
+        raise _cap_error(k)
     if workers is not None:
         _check_positive_int(workers, "worker count")
     try:

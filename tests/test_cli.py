@@ -15,6 +15,7 @@ import pytest
 import zetagamma
 from zetagamma import ConsistencyError, FixedPointStatus, FixedPointTrace
 from zetagamma.cli import RUNTIME_WARN_K, main
+from zetagamma.summation import MAX_DIRECT_K
 
 T1_GAMMA_TYPE1_K1E5 = 0.577218164898902
 T1_GAMMA_TYPE2_K10 = 0.624430642787654
@@ -118,18 +119,24 @@ def test_zero_iterate_non_finite_y0_exits_3(capsys):
     assert "y0" in err
 
 
-@pytest.mark.parametrize("k", [RUNTIME_WARN_K - 1, RUNTIME_WARN_K])
+@pytest.mark.parametrize("k", [RUNTIME_WARN_K - 1, RUNTIME_WARN_K,
+                               MAX_DIRECT_K, MAX_DIRECT_K + 1])
 def test_zero_iterate_warns_from_runtime_warn_k(capsys, monkeypatch, k):
+    # Up to the cap a stub stands in for the run; past it the real run
+    # refuses k at once, so there is no runtime to warn of.
     def one_iterate(map_, y0, k, iters, tol):
         return FixedPointTrace(iterates=(y0,), k=k,
                                status=FixedPointStatus.MAX_ITERS,
                                final_residual=None, map=map_, tol=tol)
 
-    monkeypatch.setattr("zetagamma.cli.iterate_fixed_point", one_iterate)
+    if k <= MAX_DIRECT_K:
+        monkeypatch.setattr("zetagamma.cli.iterate_fixed_point", one_iterate)
     code, _, err = run_cli(capsys, "zero-iterate", "--map", "g",
                            "--y0", "14.2", "--k", str(k), "--iters", "1")
-    assert code == 0
-    assert err.startswith("warning: ") == (k >= RUNTIME_WARN_K)
+    assert code == (0 if k <= MAX_DIRECT_K else 3)
+    assert err.startswith("warning: ") == (RUNTIME_WARN_K <= k <= MAX_DIRECT_K)
+    if k > MAX_DIRECT_K:
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("map_name, message", [
@@ -148,6 +155,27 @@ def test_zero_iterate_phase_overflow_exits_3_with_one_line(map_name, message):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == message
+
+
+@pytest.mark.parametrize("map_name, message", [
+    ("g", "exceeds the direct-sum cap"), ("f", "k exceeds binary64")],
+    ids=["g", "f"])
+def test_zero_iterate_k_past_binary64_exits_3_with_one_line(map_name,
+                                                           message):
+    # A k past binary64 is a typed error on both maps, with no traceback:
+    # the g map's sum is refused on the cap, the f map's H_k (past the cap,
+    # an Euler-Maclaurin read) on binary64's range.
+    src = str(Path(zetagamma.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "zetagamma.cli", "zero-iterate", "--map",
+         map_name, "--y0", "14.2", "--k", str(10**400), "--iters", "2"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1 and message in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_bench_phase_overflow_exits_3_with_one_line(tmp_path):

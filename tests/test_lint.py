@@ -167,13 +167,16 @@ def test_thread_check_flags_threads_outside_the_oracle():
     assert _threads_outside_oracle(ast.parse(source)) == [2, 3, 4, 9, 10]
 
 
-#: The half-angle kernel's functions and the only functions that may reach
-#: them.  Every Dirichlet term is computed by one traversal,
-#: series._partial_zeta_direct, so no second term callback grows back.
+#: The half-angle kernel's functions, the Euler-Maclaurin route, and the
+#: only functions that may reach them.  Every Dirichlet term is computed by
+#: one traversal, series._partial_zeta_direct, so no second term callback
+#: grows back, and the traversal alone picks a sum's route, so no caller
+#: decides it a second time.
 KERNEL_CALLERS = {
     "_half_angle": {("series.py", "_partial_zeta_direct"),
                     ("series.py", "_cos_msin")},
     "_cos_msin": {("series.py", "_partial_zeta_direct")},
+    "_partial_zeta_em": {("series.py", "_partial_zeta_direct")},
 }
 
 
@@ -214,13 +217,19 @@ def test_kernel_check_flags_a_second_term_callback():
         "        _half_angle(1.0, idx, *rows)\n"
         "def g_of_t(t, k):\n"
         "    kernel = series._cos_msin\n"
-        "    return _half_angle(t, k, *rows)\n")
+        "    return _half_angle(t, k, *rows)\n"
+        "def partial_zeta(sigma, k):\n"
+        "    return _partial_zeta_em(sigma, k)\n"
+        "def _partial_zeta_direct(sigma, k):\n"
+        "    return _partial_zeta_em(sigma, k)\n")
     tree = ast.parse(source)
     assert _kernel_uses_outside("series.py", tree) == [
-        (1, "_half_angle"), (9, "_cos_msin"), (10, "_half_angle")]
+        (1, "_half_angle"), (9, "_cos_msin"), (10, "_half_angle"),
+        (12, "_partial_zeta_em")]
     assert _kernel_uses_outside("fixedpoint.py", tree) == [
         (1, "_half_angle"), (3, "_half_angle"), (6, "_cos_msin"),
-        (7, "_half_angle"), (9, "_cos_msin"), (10, "_half_angle")]
+        (7, "_half_angle"), (9, "_cos_msin"), (10, "_half_angle"),
+        (12, "_partial_zeta_em"), (14, "_partial_zeta_em")]
 
 
 #: Parameters with a default that no call inside the package passes, each

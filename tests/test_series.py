@@ -23,13 +23,16 @@ from zetagamma import (
     EULER_GAMMA,
     DomainError,
     EulerMaclaurinOrder,
+    FixedPointMap,
     OracleCapError,
     SeriesParams,
     builtin_catalog,
     em_rhs,
+    g_of_t,
     gamma_type1,
     harmonic_asymptotic,
     harmonic_partial_sum,
+    iterate_fixed_point,
     offdiag_factorized,
     offdiag_naive,
     partial_zeta,
@@ -60,6 +63,12 @@ def test_harmonic_exact_rational_oracle():
 def test_harmonic_rejects_zero():
     with pytest.raises(DomainError):
         harmonic_partial_sum(0)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0, 1.5])
+def test_series_params_sigma_outside_the_open_strip(sigma):
+    with pytest.raises(DomainError, match="open interval"):
+        SeriesParams(sigma, T1, 10)
 
 
 def test_bool_rejected_where_integer_expected():
@@ -512,12 +521,63 @@ def test_diagonal_is_direct_below_the_cap(a, k):
 
 
 @pytest.mark.parametrize("sigma, alternating", [
-    (1.0, True), (0.0, False), (-0.5, False)])
+    (-0.5, True), (0.0, False), (-0.5, False)])
 def test_alternating_and_non_positive_sigma_keep_the_cap(sigma, alternating):
     start = time.perf_counter()
     with pytest.raises(DomainError, match="cap"):
         partial_zeta(sigma, 0.0, MAX_DIRECT_K + 1, alternating)
     assert time.perf_counter() - start < 1.0
+
+
+def test_alternating_real_sum_past_the_cap_is_the_eta_identity():
+    # Past the cap an alternating real sum is 2^(1-s) S(s, k//2) - S(s, k)
+    # on two Euler-Maclaurin reads; at s = 1, 2^(1-s) = 1.  The reference
+    # is -log 2 + (psi((k+2)/2) - psi((k+1)/2))/2 at 40 digits, k even.
+    mpmath = pytest.importorskip("mpmath")
+    k = 2 * MAX_DIRECT_K + 2
+    start = time.perf_counter()
+    got = partial_zeta(1.0, 0.0, k, True)
+    assert time.perf_counter() - start < 1.0
+    assert got == complex(harmonic_partial_sum(k // 2)
+                          - harmonic_partial_sum(k), 0.0)
+    with mpmath.workdps(40):
+        ref = -mpmath.log(2) + (mpmath.psi(0, mpmath.mpf(k + 2) / 2)
+                                - mpmath.psi(0, mpmath.mpf(k + 1) / 2)) / 2
+    assert float(ref) == -0.69314718030994530973
+    assert abs(got.real - float(ref)) <= 2e-15
+
+
+@pytest.mark.parametrize("call", [
+    lambda k: g_of_t(14.2, k),
+    lambda k: partial_zeta(0.5, 1.0, k),
+    lambda k: partial_zeta(0.5, 1.0, k, True),
+    lambda k: zeta_em(0.5, 14.1, k),
+    lambda k: trig_sums(SeriesParams(0.5, 14.1, k), False),
+    lambda k: trig_sums(SeriesParams(0.5, 14.1, k), True),
+    lambda k: offdiag_factorized(SeriesParams(0.5, 14.1, k), False),
+    lambda k: offdiag_factorized(SeriesParams(0.5, 14.1, k), True),
+    lambda k: iterate_fixed_point(FixedPointMap.G_MAP, 14.2, k, 2, 0.0),
+], ids=["g_of_t", "partial_zeta", "partial_zeta_alternating", "zeta_em",
+        "trig_sums", "trig_sums_alternating", "offdiag_factorized",
+        "offdiag_factorized_alternating", "iterate_g"])
+@pytest.mark.parametrize("k", [MAX_DIRECT_K + 2, 10**400, 10**5000],
+                         ids=["cap+2", "1e400", "1e5000"])
+def test_trig_sums_past_the_cap_refused_before_any_work(monkeypatch, call, k):
+    # zeta_em sums to k - 1, so every call here sums past the cap.  The
+    # traversal refuses a trig sum past the cap before the phase check
+    # (np.float64(k) overflows past binary64) and before its work block; a
+    # k too long for str() is still named in a DomainError.
+    blocks = []
+    chunk_rows = series_module._chunk_rows
+
+    def spy(*args):
+        blocks.append(args)
+        return chunk_rows(*args)
+
+    monkeypatch.setattr(series_module, "_chunk_rows", spy)
+    with pytest.raises(DomainError, match="cap"):
+        call(k)
+    assert blocks == []
 
 
 @pytest.mark.parametrize("sigma, k", [

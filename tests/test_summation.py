@@ -1140,6 +1140,13 @@ def test_chunked_refuses_k_above_cap_before_any_term():
     assert calls == []
 
 
+def test_cap_refusal_names_a_k_too_long_to_print():
+    # str() of an int past the interpreter's digit limit raises ValueError;
+    # the refusal names such a k by its bit length instead.
+    with pytest.raises(DomainError, match="^k=a 16610-bit integer exceeds"):
+        chunked_parallel_sum(lambda n: 1.0 / n, 10**5000)
+
+
 def test_partial_zeta_refuses_k_above_cap_quickly():
     start = time.perf_counter()
     with pytest.raises(DomainError, match="cap"):

@@ -189,6 +189,18 @@ def test_zero_list_errors_keep_row_order(chunked_sums, tid):
         build_table(TableSpec(tid, k=1, zero_indices=(1, 2)))
 
 
+@pytest.mark.parametrize("tid, columns", [
+    ("T2", ("gamma_type1", "gamma_type2", "dev_type1", "dev_type2")),
+    ("T3", ("gamma_type1", "gamma_type2", "dev_type1", "dev_type2")),
+    ("T5", ("zero_estimate", "dev")), ("T6", ("zero_estimate", "dev"))])
+def test_empty_zero_list_gives_the_header_and_no_sum(chunked_sums, tid,
+                                                      columns):
+    header, rows = build_table(TableSpec(tid, zero_indices=()))
+    assert header == ("q", "t_q") + columns
+    assert rows == []
+    assert chunked_sums.k == []
+
+
 @pytest.mark.parametrize("tid", ["T1", "T4"])
 def test_sweep_table_rejects_several_zeros(tid):
     with pytest.raises(DomainError, match="exactly one zero index"):
